@@ -1,8 +1,11 @@
 /**
  * @file
  * Golden-file regression tests: miniature fig07 (allocation policies)
- * and fig12 (emulation overhead) configurations rendered to metrics
- * JSON and byte-compared against snapshots in tests/golden/.
+ * and fig12 (emulation overhead) configurations, plus one small run of
+ * each serving loop (closed loop, open loop, cluster, LLM engine),
+ * rendered to metrics JSON and byte-compared against snapshots in
+ * tests/golden/. Serving-loop traces and timelines are pinned as an
+ * FNV-1a digest plus record count (serving_digests.txt).
  *
  * The simulator is deterministic end to end, so the comparison is
  * exact — any divergence is a real behaviour change. To review and
@@ -17,10 +20,16 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/cluster_server.hh"
+#include "common/fnv.hh"
 #include "core/krisp_runtime.hh"
 #include "gpu/gpu_device.hh"
 #include "models/model_zoo.hh"
 #include "obs/metrics.hh"
+#include "obs/obs.hh"
+#include "server/inference_server.hh"
+#include "server/llm_engine.hh"
+#include "server/load_generator.hh"
 #include "sim/event_queue.hh"
 
 #ifndef KRISP_GOLDEN_DIR
@@ -140,6 +149,178 @@ TEST(Golden, Fig12MiniEmulationOverhead)
             .set(static_cast<double>(emulated - native));
     }
     compareWithGolden("fig12_mini.json", m.toJson());
+}
+
+// ---- serving loops ------------------------------------------------
+//
+// Every knob that would otherwise fall back to a KRISP_* environment
+// default (reconfig policy, trace sampling, timeline window) is set
+// explicitly, so the snapshots do not depend on the caller's env.
+
+/** A context with a 10 ms timeline and explicit trace sampling. */
+void
+prepareObs(ObsContext &obs, std::uint64_t sample)
+{
+    obs.timeline.enable(10'000'000);
+    obs.trace.setSample(sample);
+}
+
+/** "<name> records=<n> fnv=<hex>" over one serialised artifact. */
+std::string
+digestLine(const std::string &name, std::size_t records,
+           const std::string &bytes)
+{
+    return name + " records=" + std::to_string(records) +
+           " fnv=" + fnvHex(Fnv1a().add(bytes).value()) + "\n";
+}
+
+/** Trace and timeline digests of one run. */
+std::string
+obsDigests(const std::string &run, const ObsContext &obs)
+{
+    return digestLine(run + ".trace", obs.trace.size(),
+                      obs.trace.toChromeJson()) +
+           digestLine(run + ".timeline", obs.timeline.windows().size(),
+                      obs.timeline.toJson());
+}
+
+/** Closed loop: two models, emulated KRISP-I, per-kernel protocol. */
+std::string
+runClosedLoop(ObsContext &obs)
+{
+    prepareObs(obs, 0);
+    ServerConfig cfg;
+    cfg.workerModels = {"shufflenet", "squeezenet"};
+    cfg.batch = 4;
+    cfg.policy = PartitionPolicy::KrispIsolated;
+    cfg.enforcement = EnforcementMode::Emulated;
+    cfg.reconfig = ReconfigPolicy::Always;
+    cfg.warmupRequests = 1;
+    cfg.measuredRequests = 4;
+    cfg.obs = &obs;
+    InferenceServer(cfg).run();
+    return obs.metrics.toJson();
+}
+
+/** Open loop: native KRISP-I under overload (drops + deadline
+ *  sheds), 1/8 request sampling. */
+std::string
+runOpenLoop(ObsContext &obs)
+{
+    prepareObs(obs, 8);
+    OpenLoopConfig cfg;
+    cfg.model = "shufflenet";
+    cfg.numWorkers = 2;
+    cfg.arrivalRatePerSec = 3000;
+    cfg.maxBatch = 8;
+    cfg.queueCapacity = 24;
+    cfg.requestDeadlineNs = ticksFromMs(6.0);
+    cfg.reconfig = ReconfigPolicy::Elide;
+    cfg.warmupNs = ticksFromMs(10);
+    cfg.measureNs = ticksFromMs(60);
+    cfg.seed = 5;
+    cfg.obs = &obs;
+    OpenLoopServer(cfg).run();
+    return obs.metrics.toJson();
+}
+
+/** Cluster: two emulated shards with resilience and one crash. */
+std::string
+runCluster(ObsContext &obs)
+{
+    prepareObs(obs, 4);
+    ClusterConfig cfg;
+    cfg.numShards = 2;
+    cfg.models = {"squeezenet", "shufflenet"};
+    cfg.workersPerShard = 2;
+    cfg.enforcement = EnforcementMode::Emulated;
+    cfg.reconfig = ReconfigPolicy::Group;
+    cfg.arrivalRatePerSec = 300.0;
+    cfg.warmupNs = ticksFromMs(20);
+    cfg.measureNs = ticksFromMs(150);
+    cfg.resilience.enabled = true;
+    cfg.faults.shardCrashRatePerSec = 6.0;
+    cfg.faults.shardRestartNs = ticksFromMs(15.0);
+    cfg.seed = 3;
+    cfg.obs = &obs;
+    ClusterServer(cfg).run();
+    return obs.metrics.toJson();
+}
+
+/** LLM engine: MPS continuous batching on two shards. */
+std::string
+runLlm(ObsContext &obs)
+{
+    prepareObs(obs, 0);
+    LlmEngineConfig cfg;
+    cfg.model = "llm-small";
+    cfg.numShards = 2;
+    cfg.policy = PartitionPolicy::MpsDefault;
+    cfg.reconfig = ReconfigPolicy::Always;
+    cfg.arrivalRatePerSec = 128.0;
+    cfg.promptMinTokens = 16;
+    cfg.promptMaxTokens = 64;
+    cfg.outputMinTokens = 8;
+    cfg.outputMaxTokens = 24;
+    cfg.maxDecodeBatch = 4;
+    cfg.kvBudgetBytes = 64.0 * 1024 * 1024;
+    cfg.warmupNs = 10'000'000;
+    cfg.measureNs = 60'000'000;
+    cfg.seed = 7;
+    cfg.obs = &obs;
+    LlmEngine(cfg).run();
+    return obs.metrics.toJson();
+}
+
+TEST(Golden, ServingClosedLoopMetrics)
+{
+    ObsContext obs;
+    compareWithGolden("serving_closed.json", runClosedLoop(obs));
+}
+
+TEST(Golden, ServingOpenLoopMetrics)
+{
+    ObsContext obs;
+    compareWithGolden("serving_open.json", runOpenLoop(obs));
+}
+
+TEST(Golden, ServingClusterMetrics)
+{
+    ObsContext obs;
+    compareWithGolden("serving_cluster.json", runCluster(obs));
+}
+
+TEST(Golden, ServingLlmMetrics)
+{
+    ObsContext obs;
+    compareWithGolden("serving_llm.json", runLlm(obs));
+}
+
+/** Chrome traces and timelines of the serving loops, as digests. */
+TEST(Golden, ServingTraceDigests)
+{
+    std::string digests;
+    {
+        ObsContext obs;
+        runClosedLoop(obs);
+        digests += obsDigests("closed", obs);
+    }
+    {
+        ObsContext obs;
+        runOpenLoop(obs);
+        digests += obsDigests("open", obs);
+    }
+    {
+        ObsContext obs;
+        runCluster(obs);
+        digests += obsDigests("cluster", obs);
+    }
+    {
+        ObsContext obs;
+        runLlm(obs);
+        digests += obsDigests("llm", obs);
+    }
+    compareWithGolden("serving_digests.txt", digests);
 }
 
 } // namespace
