@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "cluster/cluster_router.hh"
-#include "cluster/gpu_shard.hh"
+#include "server/gpu_shard.hh"
 #include "cluster/parallel_engine.hh"
 #include "cluster/resilience.hh"
 

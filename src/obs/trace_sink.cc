@@ -163,13 +163,6 @@ TraceSink::~TraceSink()
     closeStream();
 }
 
-bool
-TraceSink::envEnabled()
-{
-    const char *env = std::getenv("KRISP_TRACE");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
 std::uint64_t
 TraceSink::envSample()
 {

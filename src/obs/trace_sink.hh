@@ -128,9 +128,6 @@ class TraceSink
     bool enabled() const { return enabled_; }
     void setEnabled(bool enabled) { enabled_ = enabled; }
 
-    /** True if the KRISP_TRACE environment variable requests tracing. */
-    static bool envEnabled();
-
     /** KRISP_TRACE_SAMPLE value (0 = unset / keep everything). */
     static std::uint64_t envSample();
 

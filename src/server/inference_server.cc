@@ -8,6 +8,7 @@
 #include "gpu/gpu_device.hh"
 #include "models/model_zoo.hh"
 #include "server/partition_setup.hh"
+#include "server/request_recorder.hh"
 #include "sim/event_queue.hh"
 
 namespace krisp
@@ -32,11 +33,7 @@ struct Worker
     bool idle = false;
 
     /** Phase stamps for the in-flight request. */
-    Tick launchTick = 0;
-    Tick execDoneTick = 0;
-    /** Stream protocol-wait total at launch (delta = this request). */
-    Tick protoBase = 0;
-    Tick protoWaitNs = 0;
+    ExecStamps exec;
 
     /**
      * Abandonment guard: bumped when a new request starts. Callbacks
@@ -65,24 +62,12 @@ struct RunState
     std::unique_ptr<GpuDevice> device;
     std::unique_ptr<HipRuntime> hip;
     std::unique_ptr<ModelZoo> zoo;
-    std::unique_ptr<PerfDatabase> db;
-    std::unique_ptr<MaskAllocator> allocator;
-    std::unique_ptr<KernelSizer> sizer;
-    std::unique_ptr<KrispRuntime> krisp;
+    PartitionSetup policy;
     std::unique_ptr<FaultInjector> fault;
     std::vector<Worker> workers;
 
-    ObsContext *obs = nullptr;
+    RequestRecorder recorder{nullptr, false};
     std::uint64_t nextRequestId = 0;
-
-    /** Phase instruments (null without an ObsContext). */
-    PercentileTracker *phaseQueueMs = nullptr;
-    PercentileTracker *phaseBatchMs = nullptr;
-    PercentileTracker *phaseExecMs = nullptr;
-    PercentileTracker *phasePostMs = nullptr;
-    PercentileTracker *phaseReconfigMs = nullptr;
-    PercentileTracker *latencyAllMs = nullptr;
-    Histogram *latencyHistMs = nullptr;
 
     bool measuring = false;
     bool done = false;
@@ -150,12 +135,7 @@ void
 abandonRequest(RunState &st, Worker &w, const char *reason)
 {
     disarmRequestTimers(st, w);
-    if (st.obs != nullptr) {
-        KRISP_TRACE_EVENT(&st.obs->trace,
-                          requestDrop(w.id, w.model, w.requestId,
-                                      reason));
-        st.obs->timeline.recordDrop(st.eq.now());
-    }
+    st.recorder.drop(w.id, w.model, w.requestId, reason, st.eq.now());
     debug("worker ", w.id, " abandoned request ", w.requestId, " (",
           reason, ") after ", st.eq.now() - w.requestStart, " ns");
     startRequest(st, w);
@@ -172,36 +152,13 @@ completeRequest(RunState &st, Worker &w)
         ++w.measuredCompleted;
         w.latencyMs.add(latency_ms);
     }
-    if (st.obs != nullptr) {
-        TraceSink *trace = &st.obs->trace;
-        KRISP_TRACE_EVENT(trace,
-                          requestSpan(w.id, w.model, w.requestId,
-                                      w.requestStart, now));
-        // The closed loop admits each request the instant the last
-        // one finished, so queue wait is identically zero; the three
-        // remaining phases tile [requestStart, now] exactly.
-        KRISP_TRACE_EVENT(trace, requestPhase(w.id, w.model,
-                                              w.requestId, "batch_wait",
-                                              w.requestStart,
-                                              w.launchTick));
-        KRISP_TRACE_EVENT(trace, requestPhase(w.id, w.model,
-                                              w.requestId, "execute",
-                                              w.launchTick,
-                                              w.execDoneTick));
-        KRISP_TRACE_EVENT(trace, requestPhase(w.id, w.model,
-                                              w.requestId,
-                                              "postprocess",
-                                              w.execDoneTick, now));
+    // The closed loop admits each request the instant the last one
+    // finished: no frontend queue, so it leaves it the same tick.
+    st.recorder.complete(w.id, w.model, w.requestId, w.requestStart,
+                         w.requestStart, w.exec, now);
+    if (w.requestsMetric != nullptr) {
         w.requestsMetric->inc();
         w.latencyMetric->add(latency_ms);
-        st.phaseQueueMs->add(0.0);
-        st.phaseBatchMs->add(ticksToMs(w.launchTick - w.requestStart));
-        st.phaseExecMs->add(ticksToMs(w.execDoneTick - w.launchTick));
-        st.phasePostMs->add(ticksToMs(now - w.execDoneTick));
-        st.phaseReconfigMs->add(ticksToMs(w.protoWaitNs));
-        st.latencyAllMs->add(latency_ms);
-        st.latencyHistMs->add(latency_ms);
-        st.obs->timeline.recordRequest(now, latency_ms);
     }
     maybeTransition(st);
     startRequest(st, w);
@@ -211,24 +168,14 @@ void
 launchInference(RunState &st, Worker &w)
 {
     const std::uint64_t gen = w.generation;
-    w.launchTick = st.eq.now();
-    w.protoBase = w.stream->protocolWaitNs();
+    w.exec.launch(*w.stream, st.eq.now());
     auto completion = HsaSignal::create(
         static_cast<std::int64_t>(w.seq->size()));
-    if (st.krisp) {
-        // Whole-sequence launch: under ReconfigPolicy::Group the
-        // runtime coalesces equal-right-size runs into one
-        // reconfiguration; otherwise this is per-kernel launch().
-        st.krisp->launchGroup(*w.stream, *w.seq, completion);
-    } else {
-        for (const auto &kernel : *w.seq)
-            w.stream->launchWithSignal(kernel, completion);
-    }
+    st.policy.launch(*w.stream, *w.seq, completion);
     completion->waitZero([&st, &w, gen] {
         if (gen != w.generation)
             return;
-        w.execDoneTick = st.eq.now();
-        w.protoWaitNs = w.stream->protocolWaitNs() - w.protoBase;
+        w.exec.finish(*w.stream, st.eq.now());
         st.eq.scheduleIn(st.cfg.postprocessNs, [&st, &w, gen] {
             if (gen != w.generation)
                 return;
@@ -271,10 +218,7 @@ startRequest(RunState &st, Worker &w)
     w.requestId = ++st.nextRequestId;
     ++w.generation;
     const std::uint64_t gen = w.generation;
-    if (st.obs != nullptr) {
-        KRISP_TRACE_EVENT(&st.obs->trace,
-                          requestEnqueue(w.id, w.model, w.requestId));
-    }
+    st.recorder.enqueue(w.id, w.model, w.requestId);
     Tick preprocess = st.cfg.preprocessNs;
     if (st.fault)
         preprocess += st.fault->preprocessStall();
@@ -309,35 +253,20 @@ InferenceServer::run()
 {
     RunState st;
     st.cfg = config_;
-    st.obs = config_.obs;
+    ObsContext *obs = config_.obs;
     st.device = std::make_unique<GpuDevice>(st.eq, config_.gpu);
     st.hip = std::make_unique<HipRuntime>(st.eq, *st.device,
                                           config_.host);
-    if (st.obs != nullptr) {
-        st.obs->trace.setClock(&st.eq);
-        // The environment opt-in for the timeline must land before
-        // attachObs wires the feeds (components read enabled() once).
-        if (!st.obs->timeline.enabled()) {
-            if (const Tick window = TimelineRecorder::envWindowNs())
-                st.obs->timeline.enable(window);
-        }
-        st.hip->attachObs(st.obs);
-        MetricsRegistry &m = st.obs->metrics;
-        st.phaseQueueMs = &m.percentiles("server.phase.queue_wait_ms");
-        st.phaseBatchMs = &m.percentiles("server.phase.batch_wait_ms");
-        st.phaseExecMs = &m.percentiles("server.phase.execute_ms");
-        st.phasePostMs = &m.percentiles("server.phase.postprocess_ms");
-        st.phaseReconfigMs =
-            &m.percentiles("server.phase.reconfig_ms");
-        st.latencyAllMs = &m.percentiles("server.latency_ms");
-        st.latencyHistMs =
-            &m.histogram("server.latency_hist_ms", 0.0, 500.0, 100);
+    if (obs != nullptr) {
+        bindObsToRun(*obs, st.eq);
+        st.hip->attachObs(obs);
     }
+    st.recorder = RequestRecorder(obs, false);
     if (config_.faults.enabled()) {
         // Only instantiated for fault-injecting plans: a zero-fault
         // run carries no fault layer at all and stays bit-identical.
         st.fault = std::make_unique<FaultInjector>(config_.faults,
-                                                   st.obs);
+                                                   obs);
         st.hip->attachFault(st.fault.get());
     }
     st.zoo = std::make_unique<ModelZoo>(config_.gpu.arch);
@@ -353,14 +282,14 @@ InferenceServer::run()
         w.model = config_.workerModels[i];
         w.stream = &st.hip->createStream();
         w.seq = &st.zoo->kernels(w.model, config_.batch);
-        if (st.obs != nullptr) {
+        if (obs != nullptr) {
             const std::string prefix =
                 "server.worker" + std::to_string(i) + ".";
-            st.obs->metrics.label(prefix + "model").set(w.model);
+            obs->metrics.label(prefix + "model").set(w.model);
             w.requestsMetric =
-                &st.obs->metrics.counter(prefix + "requests");
+                &obs->metrics.counter(prefix + "requests");
             w.latencyMetric =
-                &st.obs->metrics.percentiles(prefix + "latency_ms");
+                &obs->metrics.percentiles(prefix + "latency_ms");
         }
     }
 
@@ -372,16 +301,12 @@ InferenceServer::run()
         policy_workers.push_back(PartitionWorker{w.stream, w.seq});
         profile_seqs.push_back(w.seq);
     }
-    PartitionSetup policy_setup = setupPartitionPolicy(
+    st.policy = setupPartitionPolicy(
         *st.hip, config_.policy, config_.enforcement, kprof,
         policy_workers, profile_seqs, config_.overlapLimitOverride,
-        config_.ioctlRetry, config_.reconfig, st.obs);
-    st.db = std::move(policy_setup.db);
-    st.allocator = std::move(policy_setup.allocator);
-    st.sizer = std::move(policy_setup.sizer);
-    st.krisp = std::move(policy_setup.krisp);
-    if (st.krisp && config_.grantCapCus != 0)
-        st.krisp->setGrantCapCus(config_.grantCapCus);
+        config_.ioctlRetry, config_.reconfig, obs);
+    if (st.policy.krisp && config_.grantCapCus != 0)
+        st.policy.krisp->setGrantCapCus(config_.grantCapCus);
 
     // Closed-loop load: every worker always has a request waiting.
     for (auto &w : st.workers)
@@ -439,10 +364,10 @@ InferenceServer::run()
             : 0.0;
     result.avgPowerW = seconds > 0 ? energy / seconds : 0.0;
 
-    if (st.obs != nullptr) {
+    if (obs != nullptr) {
         // One metrics snapshot per run: component stats join the live
         // "server.*" / "krisp.*" instruments filled during the run.
-        MetricsRegistry &m = st.obs->metrics;
+        MetricsRegistry &m = obs->metrics;
         st.device->publishMetrics(m);
         snapshotEventQueue(st.eq, m);
         const IoctlService &ioctl = st.hip->ioctlService();
@@ -474,8 +399,8 @@ InferenceServer::run()
             m.gauge("server.failed_requests")
                 .set(static_cast<double>(result.failedRequests));
         }
-        st.obs->timeline.finish(st.eq.now());
-        publishObsHealth(*st.obs);
+        obs->timeline.finish(st.eq.now());
+        publishObsHealth(*obs);
     }
     return result;
 }

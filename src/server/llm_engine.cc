@@ -271,15 +271,8 @@ struct Engine
         auto sig =
             HsaSignal::create(static_cast<std::int64_t>(total));
         sig->waitZero(std::move(done));
-        Stream &stream = sh.gpu->workerStream(0);
-        for (const auto *seq : seqs) {
-            if (KrispRuntime *kr = sh.gpu->krisp()) {
-                kr->launchGroup(stream, *seq, sig);
-            } else {
-                for (const auto &k : *seq)
-                    stream.launchWithSignal(k, sig);
-            }
-        }
+        for (const auto *seq : seqs)
+            sh.gpu->launch(0, *seq, sig);
     }
 
     /** One decode token landed for @p r at now. */
@@ -584,11 +577,7 @@ LlmEngine::run()
         static_cast<std::uint64_t>(config_.kvBudgetBytes);
     st.obs = config_.obs;
     if (st.obs != nullptr) {
-        st.obs->trace.setClock(&st.eq);
-        if (!st.obs->timeline.enabled()) {
-            if (const Tick window = TimelineRecorder::envWindowNs())
-                st.obs->timeline.enable(window);
-        }
+        bindObsToRun(*st.obs, st.eq);
         MetricsRegistry &m = st.obs->metrics;
         st.obsTtftMs = &m.percentiles("server.llm.ttft_ms");
         st.obsItlMs = &m.percentiles("server.llm.itl_ms");

@@ -1,7 +1,6 @@
 /**
  * @file
- * Autoregressive serving engine: continuous batching over the
- * cluster's GpuShards.
+ * Autoregressive serving engine: continuous batching over GpuShards.
  *
  * A CNN request is one kernel sequence; an LLM request is a prompt
  * *prefill* followed by one memory-bound *decode* step per generated
@@ -35,7 +34,7 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/gpu_shard.hh"
+#include "server/gpu_shard.hh"
 #include "server/policies.hh"
 
 namespace krisp

@@ -24,6 +24,19 @@ staticEqualMask(const ArchParams &arch, unsigned worker,
 
 } // namespace
 
+void
+PartitionSetup::launch(Stream &stream,
+                       const std::vector<KernelDescPtr> &seq,
+                       const HsaSignalPtr &completion) const
+{
+    if (krisp) {
+        krisp->launchGroup(stream, seq, completion);
+        return;
+    }
+    for (const auto &k : seq)
+        stream.launchWithSignal(k, completion);
+}
+
 PartitionSetup
 setupPartitionPolicy(HipRuntime &hip, PartitionPolicy policy,
                      EnforcementMode enforcement,
