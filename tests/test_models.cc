@@ -6,12 +6,27 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "models/model_zoo.hh"
 
 namespace krisp
 {
+
+/**
+ * Prints a zoo parameter by model name. gtest's default byte dump
+ * would include the std::string's heap pointer, so the listed test
+ * names (and the CTest names discovered from them) would change with
+ * every run. Found by argument-dependent lookup, so it lives in the
+ * namespace of WorkloadInfo.
+ */
+void
+PrintTo(const WorkloadInfo &info, std::ostream *os)
+{
+    *os << info.name;
+}
+
 namespace
 {
 
