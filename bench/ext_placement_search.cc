@@ -128,7 +128,6 @@ main(int argc, char **argv)
          fullReplication(problem, RoutingPolicy::LeastOutstanding)},
         {"balanced affinity split", balancedSplit(problem)},
     };
-    CostSpec cost_spec;
     double best_baseline = -1.0;
     std::string best_baseline_name;
     std::printf("%-38s %10s %10s %10s\n", "baseline", "cost",
@@ -137,7 +136,7 @@ main(int argc, char **argv)
         const ClusterConfig cfg =
             baselines[b].cand.toClusterConfig(problem);
         const SimOutcome out = PlacementSearch::simulate(cfg);
-        const double cost = cost_spec.costOf(out);
+        const double cost = placementCost(out);
         std::printf("%-38s %10.4f %10.3f %10.4f\n",
                     baselines[b].name, cost, out.p99Ms,
                     out.energyPerRequestJ);

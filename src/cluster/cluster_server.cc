@@ -54,6 +54,12 @@ namespace
 {
 
 /**
+ * Drain a shard once this many of its launches have degraded to the
+ * static queue mask (ioctl-fallback storm) since its last admission.
+ */
+constexpr std::uint64_t fallbackStormThreshold = 16;
+
+/**
  * Shared fate of one hedged request's copies. Primary and hedge carry
  * the same HedgeState; the first completion resolves it (winner), the
  * other copy is then a known loser: queued copies are lazily purged,
@@ -945,8 +951,7 @@ struct ClusterState
             cfg.failoverHangThreshold > 0 &&
             ss.hungBatches >= cfg.failoverHangThreshold;
         const bool fallback_storm =
-            cfg.failoverFallbackThreshold > 0 &&
-            fallbacks >= cfg.failoverFallbackThreshold;
+            fallbacks >= fallbackStormThreshold;
         if (!hang_storm && !fallback_storm)
             return;
         drainShard(ss, hang_storm ? "hang-storm" : "fallback-storm");
@@ -1230,7 +1235,7 @@ ClusterServer::ClusterServer(ClusterConfig config)
                  config_.shardGrantCapCus.size() != config_.numShards,
              "shardGrantCapCus must be empty or one entry per shard");
     for (const unsigned cap : config_.shardGrantCapCus)
-        fatal_if(cap > config_.gpu.arch.totalCus(),
+        fatal_if(cap > ArchParams::mi50().totalCus(),
                  "shard grant cap exceeds device CUs: ", cap);
 }
 
@@ -1307,9 +1312,6 @@ ClusterServer::run()
 
         GpuShardConfig shard_cfg;
         shard_cfg.index = s;
-        shard_cfg.gpu = config_.gpu;
-        shard_cfg.host = config_.host;
-        shard_cfg.profiler = config_.profiler;
         shard_cfg.policy = config_.policy;
         shard_cfg.enforcement = config_.enforcement;
         shard_cfg.numWorkers = config_.workersPerShard;
@@ -1318,7 +1320,6 @@ ClusterServer::run()
                                ? homed[s]
                                : config_.models;
         shard_cfg.faults = config_.faults.forShard(s);
-        shard_cfg.ioctlRetry = config_.ioctlRetry;
         shard_cfg.reconfig = config_.reconfig;
         st.shardCfgs.push_back(shard_cfg);
 

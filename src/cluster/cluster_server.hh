@@ -73,9 +73,6 @@ struct ClusterConfig
     Tick maxSimNs = ticksFromSec(600);
 
     std::uint64_t seed = 1;
-    GpuConfig gpu = GpuConfig::mi50();
-    HostRuntimeParams host;
-    ProfilerConfig profiler;
     Tick preprocessNs = 1'500'000;
     Tick postprocessNs = 500'000;
 
@@ -83,7 +80,6 @@ struct ClusterConfig
     FaultPlan faults;
     Tick requestDeadlineNs = 0;
     Tick batchWatchdogNs = 0;
-    IoctlRetryPolicy ioctlRetry;
     /** Reconfiguration-elision policy (see ServerConfig::reconfig). */
     ReconfigPolicy reconfig = reconfigPolicyFromEnv();
     /**
@@ -106,10 +102,12 @@ struct ClusterConfig
     std::uint64_t fingerprint() const;
 
     // ---- failover policy -----------------------------------------
-    /** Drain a shard after this many watchdog-failed batches. */
+    /**
+     * Drain a shard after this many watchdog-failed batches (0 =
+     * never). A shard is also drained once 16 of its launches have
+     * degraded to ioctl fallbacks since its last (re)admission.
+     */
     unsigned failoverHangThreshold = 3;
-    /** ... or this many launches degraded by ioctl fallbacks. */
-    unsigned failoverFallbackThreshold = 16;
     /** Re-admit a drained shard after this long (0 = never). */
     Tick drainNs = ticksFromMs(100.0);
     /**

@@ -3,7 +3,7 @@
  * Canonical ClusterConfig fingerprint.
  *
  * The fingerprint is the identity of a cluster experiment: every
- * serving-relevant knob folds into one 64-bit FNV-1a hash, and the
+ * knob a caller can set folds into one 64-bit FNV-1a hash, and the
  * per-shard state (static grant cap + homed model set) folds in as a
  * *sorted* multiset of sub-hashes, so relabeling shard indices does
  * not change the value. The placement search relies on this — its
@@ -16,6 +16,8 @@
  *    configs differing only in execution strategy are the same
  *    experiment;
  *  - obs: observability is a tap, not behaviour.
+ * Every cluster run uses the paper's MI50 with default host,
+ * profiler and ioctl-retry parameters, so none of those hash.
  *
  * Caveat: per-shard fault streams derive from the shard *index*
  * (FaultPlan::forShard), so under an active fault plan two
@@ -38,7 +40,7 @@ namespace
 {
 
 /** Distinguishes fingerprint layout revisions in persisted caches. */
-constexpr std::uint64_t fingerprintVersion = 1;
+constexpr std::uint64_t fingerprintVersion = 2;
 
 } // namespace
 
@@ -68,32 +70,7 @@ ClusterConfig::fingerprint() const
     h.add(static_cast<std::uint64_t>(maxSimNs));
     h.add(seed);
 
-    // ---- device model -------------------------------------------
-    const ArchParams &a = gpu.arch;
-    h.add(static_cast<std::uint64_t>(a.numSe));
-    h.add(static_cast<std::uint64_t>(a.cusPerSe));
-    h.add(static_cast<std::uint64_t>(a.threadsPerCu));
-    h.add(static_cast<std::uint64_t>(a.maxWgSlotsPerCu));
-    h.add(a.cuFlopsPerNs);
-    h.add(a.memBwBytesPerNs);
-    h.add(a.perCuIssueBytesPerNs);
-    h.add(static_cast<std::uint64_t>(gpu.packetProcessNs));
-    h.add(static_cast<std::uint64_t>(gpu.kernelLaunchOverheadNs));
-    h.add(static_cast<std::uint64_t>(gpu.allocLatencyNs));
-    h.add(gpu.contentionPenalty);
-    h.add(static_cast<std::uint64_t>(gpu.maxQueues));
-    h.add(static_cast<std::uint64_t>(gpu.queueCapacity));
-    h.add(gpu.power.idleW);
-    h.add(gpu.power.cuActiveW);
-    h.add(gpu.power.seUncoreW);
-    h.add(gpu.power.memMaxW);
-    h.add(static_cast<std::uint64_t>(host.ioctlLatencyNs));
-    h.add(static_cast<std::uint64_t>(host.callbackLatencyNs));
-
-    // ---- profiling & pipeline timing ----------------------------
-    h.add(profiler.kernelTolerance);
-    h.add(profiler.modelTolerance);
-    h.add(static_cast<std::uint64_t>(profiler.sweepPolicy));
+    // ---- pipeline timing ----------------------------------------
     h.add(static_cast<std::uint64_t>(preprocessNs));
     h.add(static_cast<std::uint64_t>(postprocessNs));
 
@@ -114,14 +91,10 @@ ClusterConfig::fingerprint() const
     h.add(static_cast<std::uint64_t>(faults.watchdogTimeoutNs));
     h.add(static_cast<std::uint64_t>(requestDeadlineNs));
     h.add(static_cast<std::uint64_t>(batchWatchdogNs));
-    h.add(static_cast<std::uint64_t>(ioctlRetry.maxAttempts));
-    h.add(static_cast<std::uint64_t>(ioctlRetry.backoffNs));
-    h.add(ioctlRetry.backoffMultiplier);
     h.add(static_cast<std::uint64_t>(reconfig));
 
     // ---- failover -----------------------------------------------
     h.add(static_cast<std::uint64_t>(failoverHangThreshold));
-    h.add(static_cast<std::uint64_t>(failoverFallbackThreshold));
     h.add(static_cast<std::uint64_t>(drainNs));
     h.add(static_cast<std::uint64_t>(readmitGraceNs));
 

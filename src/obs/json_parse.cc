@@ -1,6 +1,7 @@
 #include "obs/json_parse.hh"
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>

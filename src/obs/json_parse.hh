@@ -13,7 +13,6 @@
 #ifndef KRISP_OBS_JSON_PARSE_HH
 #define KRISP_OBS_JSON_PARSE_HH
 
-#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,11 +61,6 @@ struct Value
     double numberOr(double fallback) const
     {
         return isNumber() ? num : fallback;
-    }
-    std::uint64_t
-    u64Or(std::uint64_t fallback) const
-    {
-        return isNumber() ? static_cast<std::uint64_t>(num) : fallback;
     }
     const std::string &
     stringOr(const std::string &fallback) const

@@ -11,8 +11,7 @@
  * Cost model: every record helper is guarded by enabled(); callers
  * additionally wrap call sites in KRISP_TRACE_EVENT so a disabled
  * sink costs one pointer test and argument evaluation is skipped.
- * Compiling with -DKRISP_OBS_DISABLED removes the call sites
- * entirely. Recording never schedules simulation events, so enabling
+ * Recording never schedules simulation events, so enabling
  * tracing cannot change simulated-time results.
  *
  * Determinism: records carry only simulated time and component state;
@@ -265,19 +264,12 @@ class TraceSink
 /**
  * Guarded trace call: evaluates @p call (a TraceSink member call,
  * e.g. kernelSpan(...)) only when @p sink is attached and enabled.
- * Compiles away entirely under -DKRISP_OBS_DISABLED.
  */
-#ifndef KRISP_OBS_DISABLED
 #define KRISP_TRACE_EVENT(sink, call)                                     \
     do {                                                                  \
         if ((sink) != nullptr && (sink)->enabled())                       \
             (sink)->call;                                                 \
     } while (0)
-#else
-#define KRISP_TRACE_EVENT(sink, call)                                     \
-    do {                                                                  \
-    } while (0)
-#endif
 
 } // namespace krisp
 

@@ -12,35 +12,32 @@
 namespace krisp
 {
 
-const char *
-latencyMetricName(LatencyMetric metric)
+namespace
 {
-    switch (metric) {
-      case LatencyMetric::P50: return "p50";
-      case LatencyMetric::P95: return "p95";
-      case LatencyMetric::P99: return "p99";
-    }
-    return "unknown";
-}
+
+/** Initial temperature as a fraction of the starting cost. */
+constexpr double initTempFraction = 0.25;
+/** Geometric cooling per step. */
+constexpr double coolRate = 0.92;
+/**
+ * Surrogate prune threshold: neighbors scoring above pruneFactor x
+ * the chain's best surrogate skip the simulator. Below 1 it would
+ * prune improving moves.
+ */
+constexpr double pruneFactor = 1.35;
+
+} // namespace
 
 double
-CostSpec::costOf(const SimOutcome &outcome) const
+placementCost(const SimOutcome &outcome)
 {
-    double lat_ms = outcome.p99Ms;
-    if (metric == LatencyMetric::P50)
-        lat_ms = outcome.p50Ms;
-    else if (metric == LatencyMetric::P95)
-        lat_ms = outcome.p95Ms;
     // A config that serves nothing has no percentile; make it
     // maximally unattractive instead of free.
-    if (lat_ms <= 0)
-        lat_ms = 1e6;
+    const double lat_ms = outcome.p99Ms <= 0 ? 1e6 : outcome.p99Ms;
     const double bad =
         outcome.dropRate + (1.0 - outcome.availability);
-    return std::pow(lat_ms, latencyExponent) *
-           std::pow(std::max(outcome.energyPerRequestJ, 1e-9),
-                    energyExponent) *
-           (1.0 + dropPenalty * std::max(bad, 0.0));
+    return lat_ms * std::max(outcome.energyPerRequestJ, 1e-9) *
+           (1.0 + 50.0 * std::max(bad, 0.0));
 }
 
 PlacementSearch::PlacementSearch(PlacementProblem problem,
@@ -50,12 +47,7 @@ PlacementSearch::PlacementSearch(PlacementProblem problem,
     problem_.validate();
     fatal_if(config_.chains == 0, "need at least one chain");
     fatal_if(config_.stepsPerChain == 0, "need at least one step");
-    fatal_if(config_.pruneFactor < 1.0,
-             "pruneFactor below 1 would prune improving moves");
-    surrogate_ =
-        std::make_unique<SurrogateModel>(problem_, config_.surrogate);
-    surrogate_->setExponents(config_.cost.latencyExponent,
-                             config_.cost.energyExponent);
+    surrogate_ = std::make_unique<SurrogateModel>(problem_);
     simFn_ = &PlacementSearch::simulate;
     if (!config_.cachePath.empty())
         cache_.loadJson(config_.cachePath);
@@ -104,10 +96,7 @@ PlacementSearch::initialCandidate(Rng &rng) const
             static_cast<unsigned>(rng.below(num_models));
         const unsigned s =
             static_cast<unsigned>(rng.below(problem_.numShards));
-        if (static_cast<unsigned>(
-                __builtin_popcountll(cand.homes[m])) <
-            problem_.replicaBound())
-            cand.homes[m] |= 1ULL << s;
+        cand.homes[m] |= 1ULL << s;
     }
     static const RoutingPolicy routings[] = {
         RoutingPolicy::RoundRobin,
@@ -171,10 +160,7 @@ PlacementSearch::neighbor(const PlacementCandidate &cand,
                 static_cast<unsigned>(rng.below(num_models));
             const unsigned s =
                 static_cast<unsigned>(rng.below(num_shards));
-            if ((next.homes[m] & (1ULL << s)) != 0 ||
-                static_cast<unsigned>(
-                    __builtin_popcountll(next.homes[m])) >=
-                    problem_.replicaBound())
+            if ((next.homes[m] & (1ULL << s)) != 0)
                 continue;
             next.homes[m] |= 1ULL << s;
             return next;
@@ -193,16 +179,16 @@ PlacementSearch::neighbor(const PlacementCandidate &cand,
           case 4: { // walk a shard's cap one rung on the ladder
             const unsigned s =
                 static_cast<unsigned>(rng.below(num_shards));
-            const auto it = std::find(problem_.capLadder.begin(),
-                                      problem_.capLadder.end(),
+            const auto it = std::find(capLadder.begin(),
+                                      capLadder.end(),
                                       next.grantCapCus[s]);
-            const std::size_t idx = static_cast<std::size_t>(
-                it - problem_.capLadder.begin());
+            const std::size_t idx =
+                static_cast<std::size_t>(it - capLadder.begin());
             const bool up = rng.chance(0.5);
-            if (up && idx + 1 < problem_.capLadder.size())
-                next.grantCapCus[s] = problem_.capLadder[idx + 1];
+            if (up && idx + 1 < capLadder.size())
+                next.grantCapCus[s] = capLadder[idx + 1];
             else if (!up && idx > 0)
-                next.grantCapCus[s] = problem_.capLadder[idx - 1];
+                next.grantCapCus[s] = capLadder[idx - 1];
             else
                 continue;
             return next;
@@ -285,7 +271,7 @@ PlacementSearch::run(unsigned jobs)
         double best_surr = surrogateOf(canon);
         std::uint64_t fp = canon.fingerprint(problem_);
         SimOutcome cur_outcome = groundTruth(canon, fp);
-        double cur_cost = config_.cost.costOf(cur_outcome);
+        double cur_cost = placementCost(cur_outcome);
 
         out.best = canon;
         out.bestOutcome = cur_outcome;
@@ -293,7 +279,7 @@ PlacementSearch::run(unsigned jobs)
         out.stat.bestCost = cur_cost;
 
         double temp =
-            std::max(config_.initTempFraction * cur_cost, 1e-12);
+            std::max(initTempFraction * cur_cost, 1e-12);
         for (unsigned step = 0; step < config_.stepsPerChain;
              ++step) {
             PlacementCandidate next = neighbor(cur, rng);
@@ -303,9 +289,9 @@ PlacementSearch::run(unsigned jobs)
             const double surr = surrogateOf(next_canon);
             // Chain-local pruning threshold: sharing the best score
             // across chains would couple trajectories to scheduling.
-            if (surr > config_.pruneFactor * best_surr) {
+            if (surr > pruneFactor * best_surr) {
                 ++out.stat.pruned;
-                temp *= config_.coolRate;
+                temp *= coolRate;
                 out.stat.bestTrace.push_back(out.stat.bestCost);
                 continue;
             }
@@ -314,7 +300,7 @@ PlacementSearch::run(unsigned jobs)
                 next_canon.fingerprint(problem_);
             const SimOutcome outcome =
                 groundTruth(next_canon, next_fp);
-            const double cost = config_.cost.costOf(outcome);
+            const double cost = placementCost(outcome);
             bool accept = cost <= cur_cost;
             if (!accept) {
                 const double p =
@@ -333,7 +319,7 @@ PlacementSearch::run(unsigned jobs)
                 out.bestOutcome = outcome;
                 out.bestFingerprint = next_fp;
             }
-            temp *= config_.coolRate;
+            temp *= coolRate;
             out.stat.bestTrace.push_back(out.stat.bestCost);
         }
     });

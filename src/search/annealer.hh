@@ -5,7 +5,7 @@
  * N independent chains (one Rng stream each, forked from the search
  * seed) walk the candidate space with seeded moves. Every neighbor
  * is scored by the analytic surrogate; clearly-dominated neighbors
- * (score above pruneFactor x the chain's best surrogate so far) are
+ * (score above 1.35 x the chain's best surrogate so far) are
  * rejected without touching the simulator. Survivors fetch their
  * ground-truth outcome through the shared EvalCache, which runs each
  * unique canonical config through ClusterServer exactly once across
@@ -37,51 +37,20 @@ namespace krisp
 
 class MetricsRegistry;
 
-/** Which latency percentile the cost tracks. */
-enum class LatencyMetric
-{
-    P50,
-    P95,
-    P99,
-};
-
-const char *latencyMetricName(LatencyMetric metric);
-
 /**
- * Configurable scalar cost: latency^d x energy^a, inflated by drops
- * and unavailability. d = latencyExponent ("delay"), a =
- * energyExponent — the ECLIP-style e^a * d^d product family.
+ * Scalar cost of a simulated outcome: P99 latency (ms) x energy per
+ * request (J) x (1 + 50 x (drop rate + unavailability)).
  */
-struct CostSpec
-{
-    LatencyMetric metric = LatencyMetric::P99;
-    double latencyExponent = 1.0;
-    double energyExponent = 1.0;
-    /** Multiplier per unit of drop + unavailability mass. */
-    double dropPenalty = 50.0;
-
-    double costOf(const SimOutcome &outcome) const;
-};
+double placementCost(const SimOutcome &outcome);
 
 /** Search knobs. */
 struct SearchConfig
 {
     unsigned chains = 4;
     unsigned stepsPerChain = 48;
-    /** Initial temperature as a fraction of the starting cost. */
-    double initTempFraction = 0.25;
-    /** Geometric cooling per step. */
-    double coolRate = 0.92;
-    /**
-     * Surrogate prune threshold: neighbors scoring above pruneFactor
-     * x the chain's best surrogate skip the simulator.
-     */
-    double pruneFactor = 1.35;
     std::uint64_t seed = 1;
-    CostSpec cost;
     /** Warm-start snapshot path ("" = in-memory only). */
     std::string cachePath;
-    SurrogateParams surrogate;
 };
 
 /** Per-chain convergence record. */

@@ -1,7 +1,6 @@
 #include "search/placement.hh"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/logging.hh"
 
@@ -27,11 +26,6 @@ PlacementProblem::validate() const
         fatal_if(w == 0, "traffic weights must be positive");
     fatal_if(numShards == 0 || numShards > 64,
              "numShards must be in [1, 64] (home bitmask width)");
-    fatal_if(capLadder.empty() || capLadder[0] != 0,
-             "cap ladder must start with 0 (uncapped)");
-    for (std::size_t i = 1; i < capLadder.size(); ++i)
-        fatal_if(capLadder[i] <= capLadder[i - 1],
-                 "cap ladder must be strictly ascending");
 }
 
 bool
@@ -42,16 +36,12 @@ PlacementCandidate::valid(const PlacementProblem &p) const
         return false;
     const std::uint64_t shard_mask =
         p.numShards == 64 ? ~0ULL : (1ULL << p.numShards) - 1;
-    for (const std::uint64_t h : homes) {
+    for (const std::uint64_t h : homes)
         if (h == 0 || (h & ~shard_mask) != 0)
             return false;
-        if (static_cast<unsigned>(__builtin_popcountll(h)) >
-            p.replicaBound())
-            return false;
-    }
     for (const unsigned cap : grantCapCus)
-        if (std::find(p.capLadder.begin(), p.capLadder.end(), cap) ==
-            p.capLadder.end())
+        if (std::find(capLadder.begin(), capLadder.end(), cap) ==
+            capLadder.end())
             return false;
     return true;
 }

@@ -22,6 +22,7 @@
 #ifndef KRISP_SEARCH_PLACEMENT_HH
 #define KRISP_SEARCH_PLACEMENT_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -30,6 +31,10 @@
 
 namespace krisp
 {
+
+/** Grant caps the search's cap moves walk, ascending; 0 = uncapped. */
+inline constexpr std::array<unsigned, 10> capLadder = {
+    0, 12, 16, 20, 24, 28, 32, 40, 48, 56};
 
 /** The fixed context a placement search optimises within. */
 struct PlacementProblem
@@ -45,24 +50,12 @@ struct PlacementProblem
     std::vector<unsigned> weights;
     unsigned numShards = 4;
     /**
-     * Template config: arrival rate, sim horizon, seeds, device and
-     * fault model. The candidate overwrites models / homes / caps /
+     * Template config: arrival rate, sim horizon, seeds and fault
+     * model. The candidate overwrites models / homes / caps /
      * routing / reconfig; everything else is taken verbatim.
      */
     ClusterConfig base;
-    /** Replica bound per model (0 = up to numShards). */
-    unsigned maxReplicas = 0;
-    /**
-     * Grant-cap ladder the cap moves walk (must contain 0 =
-     * uncapped). Sorted ascending with 0 first.
-     */
-    std::vector<unsigned> capLadder = {0, 12, 16, 20, 24,
-                                       28, 32, 40, 48, 56};
 
-    unsigned replicaBound() const
-    {
-        return maxReplicas == 0 ? numShards : maxReplicas;
-    }
     /** Sum of traffic weights. */
     std::uint64_t totalWeight() const;
     /** Aborts on inconsistent sizes / empty mixes. */

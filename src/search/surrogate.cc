@@ -1,7 +1,6 @@
 #include "search/surrogate.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/logging.hh"
 #include "models/model_zoo.hh"
@@ -11,14 +10,31 @@
 namespace krisp
 {
 
-SurrogateModel::SurrogateModel(const PlacementProblem &problem,
-                               SurrogateParams params)
-    : problem_(problem), params_(params),
-      totalCus_(problem.base.gpu.arch.totalCus())
+namespace
+{
+
+/** The device every cluster shard models. */
+const GpuConfig mi50 = GpuConfig::mi50();
+
+/** Latency multiplier applied per unit of overload (rho > 1). */
+constexpr double overloadPenalty = 20.0;
+/** Queueing sensitivity of round-robin vs least-outstanding. */
+constexpr double roundRobinImbalance = 1.15;
+/** Fraction of the reconfig protocol paid per launch: Elide and
+ *  Group skip most reconfigs in steady state. */
+constexpr double elideFactor = 0.3;
+constexpr double groupFactor = 0.15;
+/** Memory-system share of dynamic power (vs compute). */
+constexpr double memPowerShare = 0.2;
+
+} // namespace
+
+SurrogateModel::SurrogateModel(const PlacementProblem &problem)
+    : problem_(problem), totalCus_(mi50.arch.totalCus())
 {
     problem_.validate();
-    ModelZoo zoo(problem_.base.gpu.arch);
-    KernelProfiler kprof(problem_.base.gpu, problem_.base.profiler);
+    ModelZoo zoo(mi50.arch);
+    KernelProfiler kprof(mi50);
     ModelProfiler mprof(kprof);
     envelopes_.resize(problem_.models.size());
     for (unsigned m = 0; m < problem_.models.size(); ++m) {
@@ -48,9 +64,8 @@ SurrogateModel::estimate(const PlacementCandidate &in) const
     const double reconfig_share =
         cand.reconfig == ReconfigPolicy::Always
             ? 1.0
-            : (cand.reconfig == ReconfigPolicy::Elide
-                   ? params_.elideFactor
-                   : params_.groupFactor);
+            : (cand.reconfig == ReconfigPolicy::Elide ? elideFactor
+                                                      : groupFactor);
 
     // Fluid traffic split: affinity sends a model only to its homes,
     // the load-oblivious policies spread everything over all shards.
@@ -92,7 +107,8 @@ SurrogateModel::estimate(const PlacementCandidate &in) const
             const double service_ns =
                 env.latencyNs[c_eff] +
                 reconfig_share * env.kernelCount *
-                    static_cast<double>(base.host.ioctlLatencyNs);
+                    static_cast<double>(
+                        HostRuntimeParams{}.ioctlLatencyNs);
             // Steady-state batch: arrivals of this flow during one
             // service time, clamped to the configured window.
             const double batch = std::clamp(
@@ -117,26 +133,24 @@ SurrogateModel::estimate(const PlacementCandidate &in) const
     // Queueing inflation per shard: M/M/1-flavoured below saturation,
     // linear-in-overload above it (continuous at the knee).
     const double imbalance =
-        cand.routing == RoutingPolicy::RoundRobin
-            ? params_.roundRobinImbalance
-            : 1.0;
+        cand.routing == RoutingPolicy::RoundRobin ? roundRobinImbalance
+                                                  : 1.0;
     std::vector<double> qfactor(problem_.numShards, 1.0);
     for (unsigned s = 0; s < problem_.numShards; ++s) {
         const double r = rho[s] * imbalance;
         qfactor[s] =
             r < 0.95
                 ? 1.0 / (1.0 - r)
-                : 20.0 + params_.overloadPenalty * (r - 0.95) * 100.0;
+                : 20.0 + overloadPenalty * (r - 0.95) * 100.0;
     }
 
     // Per-CU-second dynamic power: active CU + amortised uncore +
     // a memory-system share; board idle amortises over throughput.
-    const PowerParams &pw = base.gpu.power;
+    const PowerParams &pw = mi50.power;
     const double cu_sec_watts =
         pw.cuActiveW +
-        pw.seUncoreW / static_cast<double>(base.gpu.arch.cusPerSe) +
-        pw.memMaxW * params_.memPowerShare /
-            static_cast<double>(totalCus_);
+        pw.seUncoreW / static_cast<double>(mi50.arch.cusPerSe) +
+        pw.memMaxW * memPowerShare / static_cast<double>(totalCus_);
 
     Estimate est;
     double energy_dynamic = 0;
@@ -166,8 +180,7 @@ double
 SurrogateModel::score(const PlacementCandidate &cand) const
 {
     const Estimate est = estimate(cand);
-    return std::pow(est.latencyMs, latencyExp_) *
-           std::pow(est.energyJ, energyExp_);
+    return est.latencyMs * est.energyJ;
 }
 
 } // namespace krisp

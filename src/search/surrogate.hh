@@ -6,7 +6,7 @@
  * per-model latency envelopes (roofline latency at every CU count,
  * precomputed once) with a fluid-share queueing estimate per shard
  * to produce a score comparable across candidates: a rough stand-in
- * for the configured latency^d x energy^a cost. The annealer prunes
+ * for the latency x energy placement cost. The annealer prunes
  * neighbors whose surrogate score is far above the best score it has
  * seen, so only plausible candidates pay for a ground-truth sim.
  *
@@ -36,27 +36,11 @@ struct ModelEnvelope
     unsigned kernelCount = 0;
 };
 
-/** Tunable weights of the analytic estimate. */
-struct SurrogateParams
-{
-    /** Latency multiplier applied per unit of overload (rho > 1). */
-    double overloadPenalty = 20.0;
-    /** Queueing sensitivity of round-robin vs least-outstanding. */
-    double roundRobinImbalance = 1.15;
-    /** Fraction of the reconfig protocol paid per launch: Elide and
-     *  Group skip most reconfigs in steady state. */
-    double elideFactor = 0.3;
-    double groupFactor = 0.15;
-    /** Memory-system share of dynamic power (vs compute). */
-    double memPowerShare = 0.2;
-};
-
 class SurrogateModel
 {
   public:
     /** Profiles every model in @p problem once (the expensive bit). */
-    SurrogateModel(const PlacementProblem &problem,
-                   SurrogateParams params = {});
+    explicit SurrogateModel(const PlacementProblem &problem);
 
     /**
      * Score @p cand (lower is better). @p cand must be canonical;
@@ -75,13 +59,6 @@ class SurrogateModel
         return envelopes_[model];
     }
 
-    /** Exponents mirrored from the ground-truth cost (see CostSpec). */
-    void setExponents(double latency_exp, double energy_exp)
-    {
-        latencyExp_ = latency_exp;
-        energyExp_ = energy_exp;
-    }
-
   private:
     struct Estimate
     {
@@ -91,11 +68,8 @@ class SurrogateModel
     Estimate estimate(const PlacementCandidate &cand) const;
 
     const PlacementProblem &problem_;
-    SurrogateParams params_;
     std::vector<ModelEnvelope> envelopes_;
     unsigned totalCus_;
-    double latencyExp_ = 1.0;
-    double energyExp_ = 1.0;
 };
 
 } // namespace krisp

@@ -16,9 +16,9 @@ GpuShard::GpuShard(EventQueue &eq, GpuShardConfig config)
              "shard needs at least one resident model");
     fatal_if(config_.maxBatch == 0, "max batch must be non-zero");
 
-    device_ = std::make_unique<GpuDevice>(eq, config_.gpu);
+    device_ = std::make_unique<GpuDevice>(eq, GpuConfig::mi50());
     device_->setName("shard" + std::to_string(config_.index));
-    hip_ = std::make_unique<HipRuntime>(eq, *device_, config_.host);
+    hip_ = std::make_unique<HipRuntime>(eq, *device_);
     if (config_.obs != nullptr)
         hip_->attachObs(config_.obs);
     if (config_.faults.enabled()) {
@@ -26,7 +26,7 @@ GpuShard::GpuShard(EventQueue &eq, GpuShardConfig config)
                                                  config_.obs);
         hip_->attachFault(fault_.get());
     }
-    zoo_ = std::make_unique<ModelZoo>(config_.gpu.arch);
+    zoo_ = std::make_unique<ModelZoo>(device_->config().arch);
 
     streams_.reserve(config_.numWorkers);
     for (unsigned i = 0; i < config_.numWorkers; ++i)
@@ -36,7 +36,7 @@ GpuShard::GpuShard(EventQueue &eq, GpuShardConfig config)
     // models, each sized for the largest batch it can be handed. An
     // LLM resident's basis is its heaviest decode step — the steady
     // state the worker spends almost all its time in.
-    KernelProfiler kprof(config_.gpu, config_.profiler);
+    KernelProfiler kprof(device_->config());
     std::vector<PartitionWorker> workers;
     for (unsigned i = 0; i < config_.numWorkers; ++i) {
         const std::string &model =
@@ -76,7 +76,7 @@ GpuShard::GpuShard(EventQueue &eq, GpuShardConfig config)
 
     setup_ = setupPartitionPolicy(
         *hip_, config_.policy, config_.enforcement, kprof, workers,
-        profile_seqs, std::nullopt, config_.ioctlRetry,
+        profile_seqs, std::nullopt, IoctlRetryPolicy{},
         config_.reconfig, config_.obs);
 }
 

@@ -38,9 +38,6 @@ namespace krisp
 struct GpuShardConfig
 {
     unsigned index = 0;
-    GpuConfig gpu = GpuConfig::mi50();
-    HostRuntimeParams host;
-    ProfilerConfig profiler;
     PartitionPolicy policy = PartitionPolicy::KrispIsolated;
     EnforcementMode enforcement = EnforcementMode::Native;
     unsigned numWorkers = 2;
@@ -64,7 +61,6 @@ struct GpuShardConfig
     std::vector<std::string> models;
     /** Shard-local fault scenario (already re-seeded via forShard). */
     FaultPlan faults;
-    IoctlRetryPolicy ioctlRetry;
     /** Reconfiguration-elision policy (see ServerConfig::reconfig). */
     ReconfigPolicy reconfig = reconfigPolicyFromEnv();
     /**

@@ -254,9 +254,8 @@ InferenceServer::run()
     RunState st;
     st.cfg = config_;
     ObsContext *obs = config_.obs;
-    st.device = std::make_unique<GpuDevice>(st.eq, config_.gpu);
-    st.hip = std::make_unique<HipRuntime>(st.eq, *st.device,
-                                          config_.host);
+    st.device = std::make_unique<GpuDevice>(st.eq, GpuConfig::mi50());
+    st.hip = std::make_unique<HipRuntime>(st.eq, *st.device);
     if (obs != nullptr) {
         bindObsToRun(*obs, st.eq);
         st.hip->attachObs(obs);
@@ -269,7 +268,7 @@ InferenceServer::run()
                                                    obs);
         st.hip->attachFault(st.fault.get());
     }
-    st.zoo = std::make_unique<ModelZoo>(config_.gpu.arch);
+    st.zoo = std::make_unique<ModelZoo>(st.device->config().arch);
 
     const unsigned num_workers =
         static_cast<unsigned>(config_.workerModels.size());
@@ -294,7 +293,7 @@ InferenceServer::run()
     }
 
     // Policy setup (shared with the open-loop and cluster paths).
-    KernelProfiler kprof(config_.gpu, config_.profiler);
+    KernelProfiler kprof(st.device->config());
     std::vector<PartitionWorker> policy_workers;
     std::vector<const std::vector<KernelDescPtr> *> profile_seqs;
     for (auto &w : st.workers) {
@@ -304,9 +303,7 @@ InferenceServer::run()
     st.policy = setupPartitionPolicy(
         *st.hip, config_.policy, config_.enforcement, kprof,
         policy_workers, profile_seqs, config_.overlapLimitOverride,
-        config_.ioctlRetry, config_.reconfig, obs);
-    if (st.policy.krisp && config_.grantCapCus != 0)
-        st.policy.krisp->setGrantCapCus(config_.grantCapCus);
+        IoctlRetryPolicy{}, config_.reconfig, obs);
 
     // Closed-loop load: every worker always has a request waiting.
     for (auto &w : st.workers)

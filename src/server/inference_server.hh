@@ -23,10 +23,7 @@
 #include "common/types.hh"
 #include "core/krisp_runtime.hh"
 #include "fault/fault_plan.hh"
-#include "gpu/gpu_config.hh"
-#include "hip/hip_runtime.hh"
 #include "obs/obs.hh"
-#include "profile/kernel_profiler.hh"
 #include "server/policies.hh"
 
 namespace krisp
@@ -43,10 +40,6 @@ struct ServerConfig
     EnforcementMode enforcement = EnforcementMode::Native;
     /** Override the KRISP overlap limit (Fig. 16 sensitivity). */
     std::optional<unsigned> overlapLimitOverride;
-
-    GpuConfig gpu = GpuConfig::mi50();
-    HostRuntimeParams host;
-    ProfilerConfig profiler;
 
     /** Per-request CPU work around the GPU portion. */
     Tick preprocessNs = 1'500'000;
@@ -79,20 +72,12 @@ struct ServerConfig
      * 0 disables the watchdog.
      */
     Tick requestTimeoutNs = 0;
-    /** Retry/backoff budget for failed reconfig ioctls (emulated). */
-    IoctlRetryPolicy ioctlRetry;
     /**
      * Reconfiguration-elision policy for the KRISP policies under
      * emulated enforcement; defaults to KRISP_RECONFIG_POLICY (or
      * Always, the paper's per-launch protocol, when unset).
      */
     ReconfigPolicy reconfig = reconfigPolicyFromEnv();
-    /**
-     * Clamp right-size grants to this many CUs (0 = uncapped); the
-     * resilience layer's brownout degradation knob. Clamped launches
-     * count under "krisp.capped_grants".
-     */
-    unsigned grantCapCus = 0;
 
     /**
      * Optional observability context (owned by the caller, must

@@ -32,6 +32,9 @@ llmSchedulerName(LlmScheduler s)
 namespace
 {
 
+/** Partial-batch timeout of the static scheduler. */
+constexpr Tick staticBatchTimeoutNs = 2'000'000;
+
 /** One in-flight request and the life of its KV cache. */
 struct LlmReq
 {
@@ -590,9 +593,6 @@ LlmEngine::run()
         auto sh = std::make_unique<Shard>();
         GpuShardConfig scfg;
         scfg.index = i;
-        scfg.gpu = config_.gpu;
-        scfg.host = config_.host;
-        scfg.profiler = config_.profiler;
         scfg.policy = config_.policy;
         scfg.enforcement = config_.enforcement;
         scfg.numWorkers = 1;
@@ -600,7 +600,6 @@ LlmEngine::run()
         scfg.llmMaxDecodeBatch = config_.maxDecodeBatch;
         scfg.llmPrefillChunkTokens = config_.prefillChunkTokens;
         scfg.models = {config_.model};
-        scfg.ioctlRetry = config_.ioctlRetry;
         scfg.reconfig = config_.reconfig;
         sh->gpu = std::make_unique<GpuShard>(st.eq, std::move(scfg));
         if (config_.scheduler == LlmScheduler::Static) {
@@ -608,7 +607,7 @@ LlmEngine::run()
             DynamicBatcherConfig bcfg;
             bcfg.maxBatch = config_.maxDecodeBatch;
             bcfg.queueCapacity = config_.queueCapacity;
-            bcfg.batchTimeoutNs = config_.staticBatchTimeoutNs;
+            bcfg.batchTimeoutNs = staticBatchTimeoutNs;
             sh->batcher = std::make_unique<DynamicBatcher>(
                 st.eq, bcfg,
                 [shp] {

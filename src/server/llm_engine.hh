@@ -60,10 +60,6 @@ struct LlmEngineConfig
     LlmScheduler scheduler = LlmScheduler::Continuous;
     PartitionPolicy policy = PartitionPolicy::KrispIsolated;
     EnforcementMode enforcement = EnforcementMode::Native;
-    GpuConfig gpu = GpuConfig::mi50();
-    HostRuntimeParams host;
-    ProfilerConfig profiler;
-    IoctlRetryPolicy ioctlRetry;
     ReconfigPolicy reconfig = reconfigPolicyFromEnv();
 
     /** Poisson arrival rate across the whole engine. */
@@ -86,8 +82,6 @@ struct LlmEngineConfig
     double kvBudgetBytes = 256.0 * 1024 * 1024;
     /** Admission bound on each shard's waiting queue. */
     unsigned queueCapacity = 4096;
-    /** Partial-batch timeout of the static scheduler. */
-    Tick staticBatchTimeoutNs = 2'000'000;
 
     /** A request is goodput iff its end-to-end latency meets this. */
     Tick e2eSloNs = 400'000'000;

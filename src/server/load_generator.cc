@@ -261,21 +261,15 @@ OpenLoopServer::run()
     // profiles every batch size the frontend can assemble and
     // right-sizes each worker for the largest.
     GpuShardConfig shard_cfg;
-    shard_cfg.gpu = config_.gpu;
-    shard_cfg.host = config_.host;
-    shard_cfg.profiler = config_.profiler;
     shard_cfg.policy = config_.policy;
     shard_cfg.enforcement = config_.enforcement;
     shard_cfg.numWorkers = config_.numWorkers;
     shard_cfg.maxBatch = config_.maxBatch;
     shard_cfg.models = {config_.model};
     shard_cfg.faults = config_.faults;
-    shard_cfg.ioctlRetry = config_.ioctlRetry;
     shard_cfg.reconfig = config_.reconfig;
     shard_cfg.obs = obs;
     st.shard = std::make_unique<GpuShard>(st.eq, std::move(shard_cfg));
-    if (config_.grantCapCus != 0)
-        st.shard->setGrantCapCus(config_.grantCapCus);
 
     st.workers.resize(config_.numWorkers);
     for (unsigned i = 0; i < config_.numWorkers; ++i)

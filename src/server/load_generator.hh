@@ -20,9 +20,7 @@
 #include "common/types.hh"
 #include "core/krisp_runtime.hh"
 #include "fault/fault_plan.hh"
-#include "gpu/gpu_config.hh"
 #include "obs/obs.hh"
-#include "profile/kernel_profiler.hh"
 #include "server/policies.hh"
 
 namespace krisp
@@ -58,9 +56,6 @@ struct OpenLoopConfig
      * perturbs the other.
      */
     std::uint64_t seed = 1;
-    GpuConfig gpu = GpuConfig::mi50();
-    HostRuntimeParams host;
-    ProfilerConfig profiler;
     Tick preprocessNs = 1'500'000;
     Tick postprocessNs = 500'000;
 
@@ -78,12 +73,8 @@ struct OpenLoopConfig
      * lost completion). 0 disables the watchdog.
      */
     Tick batchWatchdogNs = 0;
-    /** Retry/backoff budget for failed reconfig ioctls (emulated). */
-    IoctlRetryPolicy ioctlRetry;
     /** Reconfiguration-elision policy (see ServerConfig::reconfig). */
     ReconfigPolicy reconfig = reconfigPolicyFromEnv();
-    /** Grant-cap brownout knob (see ServerConfig::grantCapCus). */
-    unsigned grantCapCus = 0;
 
     /**
      * Optional observability context (owned by the caller, must

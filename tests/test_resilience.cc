@@ -7,6 +7,8 @@
  * availability gains end-to-end through ClusterServer.
  */
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -377,12 +379,41 @@ TEST(ClusterResilienceRun, HedgingDuplicatesAndCancelsCleanly)
     EXPECT_TRUE(r.allocatorsPristine);
 }
 
+/**
+ * Shortest time from a shard's re-admission to its next drain, read
+ * from the shard_readmit / shard_drain recovery records of @p trace
+ * (maxTick when no shard is drained after a readmit).
+ */
+Tick
+closestRedrainNs(const TraceSink &trace)
+{
+    std::map<std::string, Tick> last_readmit; // by target shard
+    Tick closest = maxTick;
+    for (const TraceRecord &rec : trace.records()) {
+        if (rec.kind != TraceEventKind::RecoveryAction ||
+            rec.args.empty() || rec.args[0].key != "target")
+            continue;
+        const std::string &shard = rec.args[0].json;
+        if (rec.name == "shard_readmit") {
+            last_readmit[shard] = rec.ts;
+        } else if (rec.name == "shard_drain") {
+            const auto it = last_readmit.find(shard);
+            if (it != last_readmit.end())
+                closest = std::min(closest, rec.ts - it->second);
+        }
+    }
+    return closest;
+}
+
 TEST(ClusterResilienceRun, ReadmitGraceAvoidsRedrainFlapping)
 {
     // Regression: a shard re-admitted into a still-active hang storm
     // used to be re-drained almost immediately (health check fired
     // on the first post-readmit batch), inflating failovers. The
-    // grace window must absorb that.
+    // grace window must absorb that: the contract is that no shard
+    // is drained within the grace after its readmit, which the
+    // hair-trigger run breaks.
+    const Tick grace = ticksFromMs(80.0);
     ClusterConfig cfg = chaosCluster(2);
     cfg.faults.kernelHangProb = 0.004;
     cfg.faults.watchdogTimeoutNs = ticksFromMs(20.0);
@@ -390,12 +421,20 @@ TEST(ClusterResilienceRun, ReadmitGraceAvoidsRedrainFlapping)
     cfg.failoverHangThreshold = 2;
     cfg.drainNs = ticksFromMs(40.0);
     cfg.measureNs = ticksFromMs(600.0);
+
+    ObsContext hair_obs;
+    cfg.obs = &hair_obs;
     cfg.readmitGraceNs = 0;
     const ClusterResult hair_trigger = ClusterServer(cfg).run();
-    cfg.readmitGraceNs = ticksFromMs(80.0);
+    ObsContext graced_obs;
+    cfg.obs = &graced_obs;
+    cfg.readmitGraceNs = grace;
     const ClusterResult graced = ClusterServer(cfg).run();
+
     ASSERT_GT(hair_trigger.failovers, 0u);
     EXPECT_LT(graced.failovers, hair_trigger.failovers);
+    EXPECT_LT(closestRedrainNs(hair_obs.trace), grace);
+    EXPECT_GE(closestRedrainNs(graced_obs.trace), grace);
     // Grace defers draining; it must not stop the cluster serving.
     EXPECT_GT(graced.served, 0u);
 }

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,34 +96,167 @@ TEST(Fingerprint, ShardOrderInvariant)
 
 TEST(Fingerprint, SensitiveToEveryKnob)
 {
-    PlacementProblem problem = smallProblem();
-    ClusterConfig base = problem.base;
+    // One row per member a caller can set: ClusterConfig's own
+    // fields, every FaultPlan member and every ResilienceConfig
+    // member (both admission buckets). A live field missing from the
+    // hash would let the eval cache serve a stale outcome.
+    using Edit = void (*)(ClusterConfig &);
+    const std::vector<std::pair<const char *, Edit>> rows = {
+        {"numShards",
+         [](ClusterConfig &c) {
+             c.numShards = 4;
+             c.shardGrantCapCus.push_back(0); // one cap per shard
+         }},
+        {"routing",
+         [](ClusterConfig &c) { c.routing = RoutingPolicy::RoundRobin; }},
+        {"models",
+         [](ClusterConfig &c) { c.models[1] = "shufflenet"; }},
+        {"modelHomes",
+         [](ClusterConfig &c) { c.modelHomes = {{0, 1}, {1}}; }},
+        {"workersPerShard",
+         [](ClusterConfig &c) { c.workersPerShard = 3; }},
+        {"policy",
+         [](ClusterConfig &c) { c.policy = PartitionPolicy::MpsDefault; }},
+        {"enforcement",
+         [](ClusterConfig &c) {
+             c.enforcement = EnforcementMode::Emulated;
+         }},
+        {"arrivalRatePerSec",
+         [](ClusterConfig &c) { c.arrivalRatePerSec += 1.0; }},
+        {"maxBatch", [](ClusterConfig &c) { c.maxBatch = 9; }},
+        {"batchTimeoutNs",
+         [](ClusterConfig &c) { c.batchTimeoutNs += 1; }},
+        {"queueCapacity",
+         [](ClusterConfig &c) { c.queueCapacity += 1; }},
+        {"warmupNs", [](ClusterConfig &c) { c.warmupNs += 1; }},
+        {"measureNs", [](ClusterConfig &c) { c.measureNs += 1; }},
+        {"maxSimNs", [](ClusterConfig &c) { c.maxSimNs += 1; }},
+        {"seed", [](ClusterConfig &c) { c.seed += 1; }},
+        {"preprocessNs", [](ClusterConfig &c) { c.preprocessNs += 1; }},
+        {"postprocessNs",
+         [](ClusterConfig &c) { c.postprocessNs += 1; }},
+        {"requestDeadlineNs",
+         [](ClusterConfig &c) { c.requestDeadlineNs = 1; }},
+        {"batchWatchdogNs",
+         [](ClusterConfig &c) { c.batchWatchdogNs = 1; }},
+        {"reconfig",
+         [](ClusterConfig &c) {
+             c.reconfig = c.reconfig == ReconfigPolicy::Group
+                              ? ReconfigPolicy::Always
+                              : ReconfigPolicy::Group;
+         }},
+        {"shardGrantCapCus",
+         [](ClusterConfig &c) { c.shardGrantCapCus = {16, 0, 40}; }},
+        {"failoverHangThreshold",
+         [](ClusterConfig &c) { c.failoverHangThreshold += 1; }},
+        {"drainNs", [](ClusterConfig &c) { c.drainNs += 1; }},
+        {"readmitGraceNs",
+         [](ClusterConfig &c) { c.readmitGraceNs += 1; }},
+        {"interactiveFraction",
+         [](ClusterConfig &c) { c.interactiveFraction = 0.5; }},
+        {"sloMs", [](ClusterConfig &c) { c.sloMs = 50.0; }},
+
+        {"faults.seed", [](ClusterConfig &c) { c.faults.seed += 1; }},
+        {"faults.kernelHangProb",
+         [](ClusterConfig &c) { c.faults.kernelHangProb = 0.01; }},
+        {"faults.kernelSlowProb",
+         [](ClusterConfig &c) { c.faults.kernelSlowProb = 0.01; }},
+        {"faults.kernelSlowFactor",
+         [](ClusterConfig &c) { c.faults.kernelSlowFactor += 1; }},
+        {"faults.ioctlFailProb",
+         [](ClusterConfig &c) { c.faults.ioctlFailProb = 0.01; }},
+        {"faults.ioctlFailBurst",
+         [](ClusterConfig &c) { c.faults.ioctlFailBurst = 1; }},
+        {"faults.ioctlDelayProb",
+         [](ClusterConfig &c) { c.faults.ioctlDelayProb = 0.01; }},
+        {"faults.ioctlDelayFactor",
+         [](ClusterConfig &c) { c.faults.ioctlDelayFactor += 1; }},
+        {"faults.signalLossProb",
+         [](ClusterConfig &c) { c.faults.signalLossProb = 0.01; }},
+        {"faults.stallProb",
+         [](ClusterConfig &c) { c.faults.stallProb = 0.01; }},
+        {"faults.stallNs", [](ClusterConfig &c) { c.faults.stallNs += 1; }},
+        {"faults.shardCrashRatePerSec",
+         [](ClusterConfig &c) { c.faults.shardCrashRatePerSec = 1.0; }},
+        {"faults.shardRestartNs",
+         [](ClusterConfig &c) { c.faults.shardRestartNs += 1; }},
+        {"faults.watchdogTimeoutNs",
+         [](ClusterConfig &c) { c.faults.watchdogTimeoutNs += 1; }},
+
+        {"resilience.enabled",
+         [](ClusterConfig &c) { c.resilience.enabled = true; }},
+        {"resilience.admission[interactive].ratePerSec",
+         [](ClusterConfig &c) {
+             c.resilience.admission[0].ratePerSec = 100.0;
+         }},
+        {"resilience.admission[interactive].burst",
+         [](ClusterConfig &c) { c.resilience.admission[0].burst += 1; }},
+        {"resilience.admission[batch].ratePerSec",
+         [](ClusterConfig &c) {
+             c.resilience.admission[1].ratePerSec = 100.0;
+         }},
+        {"resilience.admission[batch].burst",
+         [](ClusterConfig &c) { c.resilience.admission[1].burst += 1; }},
+        {"resilience.brownoutHighWatermark",
+         [](ClusterConfig &c) { c.resilience.brownoutHighWatermark += 1; }},
+        {"resilience.brownoutLowWatermark",
+         [](ClusterConfig &c) { c.resilience.brownoutLowWatermark += 1; }},
+        {"resilience.brownoutSustain",
+         [](ClusterConfig &c) { c.resilience.brownoutSustain += 1; }},
+        {"resilience.brownoutRelax",
+         [](ClusterConfig &c) { c.resilience.brownoutRelax += 1; }},
+        {"resilience.brownoutCheckNs",
+         [](ClusterConfig &c) { c.resilience.brownoutCheckNs += 1; }},
+        {"resilience.degradedGrantCapCus",
+         [](ClusterConfig &c) { c.resilience.degradedGrantCapCus += 1; }},
+        {"resilience.retryBudgetRatio",
+         [](ClusterConfig &c) { c.resilience.retryBudgetRatio += 0.1; }},
+        {"resilience.retryBudgetFloor",
+         [](ClusterConfig &c) { c.resilience.retryBudgetFloor += 1; }},
+        {"resilience.maxAttempts",
+         [](ClusterConfig &c) { c.resilience.maxAttempts += 1; }},
+        {"resilience.breakerFailureThreshold",
+         [](ClusterConfig &c) {
+             c.resilience.breakerFailureThreshold += 1;
+         }},
+        {"resilience.breakerCooldownNs",
+         [](ClusterConfig &c) { c.resilience.breakerCooldownNs += 1; }},
+        {"resilience.rerouteBackoffNs",
+         [](ClusterConfig &c) { c.resilience.rerouteBackoffNs += 1; }},
+        {"resilience.hedging",
+         [](ClusterConfig &c) { c.resilience.hedging = true; }},
+        {"resilience.hedgeQuantile",
+         [](ClusterConfig &c) { c.resilience.hedgeQuantile = 0.9; }},
+        {"resilience.hedgeMinSamples",
+         [](ClusterConfig &c) { c.resilience.hedgeMinSamples += 1; }},
+        {"resilience.hedgeMinDelayNs",
+         [](ClusterConfig &c) { c.resilience.hedgeMinDelayNs += 1; }},
+    };
+    static_assert(numPriorityClasses == 2 &&
+                      PriorityClass::Interactive == PriorityClass{0} &&
+                      PriorityClass::Batch == PriorityClass{1},
+                  "one admission row pair per priority class");
+
+    ClusterConfig base = smallProblem().base;
     base.numShards = 3;
     base.models = {"resnet152", "squeezenet"};
     base.modelHomes = {{0, 2}, {1}};
     base.shardGrantCapCus = {16, 0, 32};
+    ASSERT_NE(base.routing, RoutingPolicy::RoundRobin);
     const std::uint64_t fp = base.fingerprint();
+    for (const auto &[name, edit] : rows) {
+        ClusterConfig edited = base;
+        edit(edited);
+        EXPECT_NE(fp, edited.fingerprint()) << name;
+    }
 
-    ClusterConfig moved = base;
-    moved.modelHomes = {{0, 1}, {1}};
-    EXPECT_NE(fp, moved.fingerprint());
-
-    ClusterConfig capped = base;
-    capped.shardGrantCapCus = {16, 0, 40};
-    EXPECT_NE(fp, capped.fingerprint());
-
-    ClusterConfig routed = base;
-    ASSERT_NE(routed.routing, RoutingPolicy::RoundRobin);
-    routed.routing = RoutingPolicy::RoundRobin;
-    EXPECT_NE(fp, routed.fingerprint());
-
-    ClusterConfig reconf = base;
-    reconf.reconfig = ReconfigPolicy::Group;
-    EXPECT_NE(fp, reconf.fingerprint());
-
-    ClusterConfig rated = base;
-    rated.arrivalRatePerSec += 1.0;
-    EXPECT_NE(fp, rated.fingerprint());
+    // Taps and execution strategy are not the experiment.
+    ObsContext obs;
+    ClusterConfig tapped = base;
+    tapped.obs = &obs;
+    tapped.engine.engine = ClusterEngine::Parallel;
+    tapped.engine.workers = 3;
+    EXPECT_EQ(fp, tapped.fingerprint());
 }
 
 TEST(Fingerprint, EngineSelectionIsExcluded)
@@ -344,9 +478,8 @@ TEST(Search, GroundTruthPermutationCostsAgreeThroughCache)
                 cand.toClusterConfig(problem));
         });
     };
-    const CostSpec cost;
-    const double cost_a = cost.costOf(eval(a));
-    const double cost_b = cost.costOf(eval(b));
+    const double cost_a = placementCost(eval(a));
+    const double cost_b = placementCost(eval(b));
     EXPECT_EQ(sims, 1);
     EXPECT_EQ(cost_a, cost_b);
     EXPECT_GT(cost_a, 0.0);

@@ -13,17 +13,22 @@
  * `search` anneals over (placement, caps, routing, reconfig) and
  * writes the winning configuration as a JSON plan; `replay` loads a
  * plan, reruns it through ClusterServer and prints the measured
- * cost — the round trip proves a plan is self-contained.
+ * cost — the round trip proves a plan is self-contained. Replay
+ * checks every plan field and the recorded fingerprint first: a
+ * malformed, out-of-range or edited plan exits 1 naming the field.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "common/fnv.hh"
+#include "obs/json.hh"
 #include "obs/json_parse.hh"
 #include "obs/metrics.hh"
 #include "search/annealer.hh"
@@ -89,8 +94,10 @@ writePlan(const std::string &path, const PlacementProblem &problem,
     }
     out << "{\n";
     out << "  \"num_shards\": " << problem.numShards << ",\n";
+    // Shortest round-trip decimal: replay must decode the exact rate
+    // the fingerprint covers.
     out << "  \"arrival_rate_per_sec\": "
-        << problem.base.arrivalRatePerSec << ",\n";
+        << json::number(problem.base.arrivalRatePerSec) << ",\n";
     out << "  \"seed\": " << problem.base.seed << ",\n";
     out << "  \"routing\": \""
         << routingPolicyName(winner.routing) << "\",\n";
@@ -121,33 +128,94 @@ writePlan(const std::string &path, const PlacementProblem &problem,
     out << "]\n}\n";
 }
 
-RoutingPolicy
-routingFromName(const std::string &name)
+/** Exit 1 with a message naming the plan field that is wrong. */
+[[noreturn]] void
+rejectField(const std::string &field, const std::string &why)
 {
-    if (name == "round-robin")
-        return RoutingPolicy::RoundRobin;
-    if (name == "least-outstanding")
-        return RoutingPolicy::LeastOutstanding;
-    if (name == "model-affinity")
-        return RoutingPolicy::ModelAffinity;
-    std::fprintf(stderr, "unknown routing policy: %s\n",
-                 name.c_str());
+    std::fprintf(stderr, "plan field %s: %s\n", field.c_str(),
+                 why.c_str());
     std::exit(1);
 }
 
-ReconfigPolicy
-reconfigFromName(const std::string &name)
+/**
+ * The number at @p v; a missing, non-number or non-finite (overflowed)
+ * value is rejected.
+ */
+double
+planNumber(const json::Value *v, const std::string &field)
 {
-    if (name == "always")
-        return ReconfigPolicy::Always;
-    if (name == "elide")
-        return ReconfigPolicy::Elide;
-    if (name == "group")
-        return ReconfigPolicy::Group;
-    std::fprintf(stderr, "unknown reconfig policy: %s\n",
-                 name.c_str());
-    std::exit(1);
+    if (v == nullptr)
+        rejectField(field, "missing");
+    if (!v->isNumber() || !std::isfinite(v->num))
+        rejectField(field, "not a finite number");
+    return v->num;
 }
+
+/**
+ * The integer at @p v, checked to lie in [@p lo, @p hi]: fractions,
+ * negatives and out-of-range values are rejected, never truncated or
+ * wrapped.
+ */
+std::uint64_t
+planInt(const json::Value *v, const std::string &field,
+        std::uint64_t lo, std::uint64_t hi)
+{
+    const double x = planNumber(v, field);
+    if (!(x >= static_cast<double>(lo) &&
+          x <= static_cast<double>(hi)) ||
+        x != std::floor(x))
+        rejectField(field, json::number(x) +
+                               " is not an integer in [" +
+                               std::to_string(lo) + ", " +
+                               std::to_string(hi) + "]");
+    return static_cast<std::uint64_t>(x);
+}
+
+/** The string at @p v; a missing or non-string value is rejected. */
+const std::string &
+planString(const json::Value *v, const std::string &field)
+{
+    if (v == nullptr)
+        rejectField(field, "missing");
+    if (!v->isString())
+        rejectField(field, "not a string");
+    return v->str;
+}
+
+/** The array at @p v; a missing or non-array value is rejected. */
+const std::vector<json::Value> &
+planArray(const json::Value *v, const std::string &field)
+{
+    if (v == nullptr)
+        rejectField(field, "missing");
+    if (!v->isArray())
+        rejectField(field, "not an array");
+    return v->arr;
+}
+
+/**
+ * The value among @p all whose name (as @p nameOf prints it, and as
+ * writePlan wrote it) is the string at @p v; others are rejected.
+ */
+template <typename Enum>
+Enum
+planEnum(const json::Value *v, const std::string &field,
+         std::initializer_list<Enum> all, const char *(*nameOf)(Enum))
+{
+    const std::string &name = planString(v, field);
+    for (const Enum e : all)
+        if (name == nameOf(e))
+            return e;
+    rejectField(field, "unknown value: " + name);
+}
+
+/**
+ * Largest traffic weight a plan may carry: each unit of weight is one
+ * entry in the replayed config's model list.
+ */
+constexpr std::uint64_t maxPlanWeight = 1000;
+/** Largest seed a JSON number (a double) holds exactly: 2^53. */
+constexpr std::uint64_t maxPlanSeed = 1ULL << 53;
 
 int
 runReplay(const std::string &plan_path)
@@ -159,67 +227,92 @@ runReplay(const std::string &plan_path)
                      plan_path.c_str(), error.c_str());
         return 1;
     }
-    const json::Value *models = plan.find("models");
-    if (models == nullptr || !models->isArray() ||
-        models->arr.empty()) {
-        std::fprintf(stderr, "plan has no models\n");
-        return 1;
-    }
-    auto planNum = [&plan](const char *key, double fallback) {
-        const json::Value *v = plan.find(key);
-        return v != nullptr ? v->numberOr(fallback) : fallback;
-    };
-    auto planStr = [&plan](const char *key) -> std::string {
-        const json::Value *v = plan.find(key);
-        return v != nullptr ? v->stringOr("") : "";
-    };
 
-    ClusterConfig cfg =
-        searchBase(planNum("arrival_rate_per_sec", 200.0));
-    cfg.numShards =
-        static_cast<unsigned>(planNum("num_shards", 0));
-    cfg.seed = static_cast<std::uint64_t>(planNum("seed", 1));
-    cfg.routing = routingFromName(planStr("routing"));
-    cfg.reconfig = reconfigFromName(planStr("reconfig"));
-    if (planStr("enforcement") == "emulated")
-        cfg.enforcement = EnforcementMode::Emulated;
+    const double rate = planNumber(plan.find("arrival_rate_per_sec"),
+                                   "arrival_rate_per_sec");
+    if (!(rate > 0))
+        rejectField("arrival_rate_per_sec", "must be positive");
+    ClusterConfig cfg = searchBase(rate);
+    cfg.numShards = static_cast<unsigned>(
+        planInt(plan.find("num_shards"), "num_shards", 1, 64));
+    cfg.seed = planInt(plan.find("seed"), "seed", 0, maxPlanSeed);
+    cfg.routing = planEnum(plan.find("routing"), "routing",
+                           {RoutingPolicy::RoundRobin,
+                            RoutingPolicy::LeastOutstanding,
+                            RoutingPolicy::ModelAffinity},
+                           routingPolicyName);
+    cfg.reconfig = planEnum(plan.find("reconfig"), "reconfig",
+                            {ReconfigPolicy::Always,
+                             ReconfigPolicy::Elide,
+                             ReconfigPolicy::Group},
+                            reconfigPolicyName);
+    cfg.enforcement = planEnum(plan.find("enforcement"), "enforcement",
+                               {EnforcementMode::Native,
+                                EnforcementMode::Emulated},
+                               enforcementModeName);
+
+    const auto &models = planArray(plan.find("models"), "models");
+    if (models.empty())
+        rejectField("models", "empty");
     cfg.models.clear();
-    for (const json::Value &m : models->arr) {
-        const json::Value *nv = m.find("name");
-        const std::string name =
-            nv != nullptr ? nv->stringOr("") : "";
-        const json::Value *wv = m.find("weight");
-        const unsigned weight = static_cast<unsigned>(
-            wv != nullptr ? wv->u64Or(1) : 1);
+    for (std::size_t m = 0; m < models.size(); ++m) {
+        const std::string field = "models[" + std::to_string(m) + "]";
+        const std::string &name =
+            planString(models[m].find("name"), field + ".name");
+        if (!ModelZoo::isModel(name))
+            rejectField(field + ".name", "unknown model: " + name);
+        const std::uint64_t weight = planInt(
+            models[m].find("weight"), field + ".weight", 1,
+            maxPlanWeight);
+        const auto &homes_v =
+            planArray(models[m].find("homes"), field + ".homes");
         std::vector<unsigned> homes;
-        const json::Value *hv = m.find("homes");
-        if (hv != nullptr && hv->isArray())
-            for (const json::Value &h : hv->arr)
-                homes.push_back(
-                    static_cast<unsigned>(h.numberOr(0)));
-        for (unsigned w = 0; w < weight; ++w) {
+        for (std::size_t h = 0; h < homes_v.size(); ++h)
+            homes.push_back(static_cast<unsigned>(planInt(
+                &homes_v[h],
+                field + ".homes[" + std::to_string(h) + "]", 0,
+                cfg.numShards - 1)));
+        for (std::uint64_t w = 0; w < weight; ++w) {
             cfg.models.push_back(name);
             cfg.modelHomes.push_back(homes);
         }
     }
-    const json::Value *caps = plan.find("grant_cap_cus");
-    if (caps != nullptr && caps->isArray())
-        for (const json::Value &c : caps->arr)
-            cfg.shardGrantCapCus.push_back(
-                static_cast<unsigned>(c.numberOr(0)));
+    const auto &caps =
+        planArray(plan.find("grant_cap_cus"), "grant_cap_cus");
+    if (caps.size() != cfg.numShards)
+        rejectField("grant_cap_cus",
+                    "needs one entry per shard (" +
+                        std::to_string(cfg.numShards) + "), has " +
+                        std::to_string(caps.size()));
+    for (std::size_t s = 0; s < caps.size(); ++s)
+        cfg.shardGrantCapCus.push_back(static_cast<unsigned>(
+            planInt(&caps[s],
+                    "grant_cap_cus[" + std::to_string(s) + "]", 0,
+                    ArchParams::mi50().totalCus())));
+
+    // The recorded fingerprint pins the plan to the configuration
+    // the search evaluated: a hand-edited plan, or one written under
+    // another fingerprint layout, would replay something else.
+    const std::string recorded =
+        planString(plan.find("fingerprint"), "fingerprint");
+    const std::string recomputed = fnvHex(cfg.fingerprint());
+    if (recorded != recomputed)
+        rejectField("fingerprint",
+                    "recorded " + recorded + " but the plan decodes to " +
+                        recomputed +
+                        " (edited, or written under an older "
+                        "fingerprint layout: rerun search)");
 
     const SimOutcome outcome = PlacementSearch::simulate(cfg);
-    CostSpec cost_spec;
     std::printf("plan:        %s\n", plan_path.c_str());
-    std::printf("fingerprint: %s\n",
-                fnvHex(cfg.fingerprint()).c_str());
+    std::printf("fingerprint: %s\n", recomputed.c_str());
     std::printf("p50/p95/p99: %.3f / %.3f / %.3f ms\n",
                 outcome.p50Ms, outcome.p95Ms, outcome.p99Ms);
     std::printf("energy:      %.3f J/req\n",
                 outcome.energyPerRequestJ);
     std::printf("drop rate:   %.4f\n", outcome.dropRate);
     std::printf("cost:        %.4f\n",
-                cost_spec.costOf(outcome));
+                placementCost(outcome));
     return 0;
 }
 
