@@ -20,14 +20,14 @@
  * Every cell is an independent island, so the sweep runs on the
  * WorkerPool and the report is byte-identical for any --jobs value.
  *
- * Environment knobs (see EXPERIMENTS.md):
+ * Environment knobs (see EXPERIMENTS.md; ranges in bench_util.hh):
  *   KRISP_CHAOS_SEED        base seed for all cells (uint64)
  *   KRISP_CHAOS_CRASH_RATE  multiplier on every level's crash rate
  *   KRISP_CHAOS_FAULT_RATE  multiplier on every level's fault prob
  *   KRISP_CHAOS_OVERLOAD    multiplier on every level's offered load
+ *   KRISP_ENGINE[_WORKERS]  cluster engine of every cell
  */
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -66,28 +66,11 @@ struct Cell
     ClusterResult result;
 };
 
-double
-envScale(const char *name)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return 1.0;
-    return std::strtod(env, nullptr);
-}
-
-std::uint64_t
-envSeed()
-{
-    const char *env = std::getenv("KRISP_CHAOS_SEED");
-    if (env == nullptr || env[0] == '\0')
-        return 0xC4A05ULL;
-    return std::strtoull(env, nullptr, 0);
-}
-
+/** The configuration of @p cell, on top of the sweep's @p base. */
 ClusterConfig
-cellConfig(const Cell &cell)
+cellConfig(const Cell &cell, const ClusterConfig &base)
 {
-    ClusterConfig cfg;
+    ClusterConfig cfg = base;
     cfg.numShards = kShards;
     cfg.routing = RoutingPolicy::LeastOutstanding;
     cfg.models = {"squeezenet", "shufflenet"};
@@ -96,7 +79,6 @@ cellConfig(const Cell &cell)
     cfg.arrivalRatePerSec =
         kCapacityRps * cell.level.overload;
     cfg.maxBatch = 8;
-    cfg.seed = envSeed();
     cfg.warmupNs = ticksFromMs(250.0);
     cfg.measureNs = bench::quickMode() ? ticksFromMs(400.0)
                                        : ticksFromMs(1500.0);
@@ -155,9 +137,15 @@ main(int argc, char **argv)
         "crash storms, fault injection and overload, resilience "
         "on/off per chaos level");
 
-    const double crash_scale = envScale("KRISP_CHAOS_CRASH_RATE");
-    const double fault_scale = envScale("KRISP_CHAOS_FAULT_RATE");
-    const double load_scale = envScale("KRISP_CHAOS_OVERLOAD");
+    const double crash_scale =
+        bench::env::real("KRISP_CHAOS_CRASH_RATE").value_or(1.0);
+    const double fault_scale =
+        bench::env::real("KRISP_CHAOS_FAULT_RATE").value_or(1.0);
+    const double load_scale =
+        bench::env::real("KRISP_CHAOS_OVERLOAD").value_or(1.0);
+    ClusterConfig base;
+    base.seed = bench::env::count("KRISP_CHAOS_SEED").value_or(0xC4A05ULL);
+    base.engine = bench::engine();
 
     // name, overload (x capacity), fault prob, crashes/s/shard
     std::vector<ChaosLevel> levels = {
@@ -176,11 +164,11 @@ main(int argc, char **argv)
         for (const bool resilient : {false, true})
             cells.push_back(Cell{lvl, resilient, {}});
 
-    const unsigned jobs = harness::jobsFromCommandLine(argc, argv);
+    const unsigned jobs = bench::jobs(argc, argv);
     harness::WorkerPool pool(jobs);
     pool.forEachIndex(cells.size(), [&](std::size_t i) {
         Cell &cell = cells[i];
-        cell.result = ClusterServer(cellConfig(cell)).run();
+        cell.result = ClusterServer(cellConfig(cell, base)).run();
         // Chaos must never lose a request silently: the conservation
         // invariant holds exactly in every cell, on or off.
         fatal_if(cell.result.resilience.conservationDelta() != 0,

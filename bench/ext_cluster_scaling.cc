@@ -15,6 +15,8 @@
  *
  * Every point is an independent island, so the sweep runs on the
  * WorkerPool and the report is byte-identical for any --jobs value.
+ * KRISP_ENGINE / KRISP_ENGINE_WORKERS pick the engine of every point
+ * (byte-identical too, DESIGN.md §14).
  */
 
 #include "bench/bench_util.hh"
@@ -59,11 +61,13 @@ main(int argc, char **argv)
         for (const unsigned shards : shard_counts)
             points.push_back(Point{shards, routing, {}});
 
-    const unsigned jobs = harness::jobsFromCommandLine(argc, argv);
+    const unsigned jobs = bench::jobs(argc, argv);
+    const EngineConfig engine = bench::engine();
     harness::WorkerPool pool(jobs);
     pool.forEachIndex(points.size(), [&](std::size_t i) {
         Point &p = points[i];
         ClusterConfig cfg;
+        cfg.engine = engine;
         cfg.numShards = p.shards;
         cfg.routing = p.routing;
         cfg.models = {"resnet152", "vgg19"};

@@ -18,25 +18,10 @@
 #include "bench/bench_util.hh"
 #include "common/table.hh"
 #include "harness/parallel_runner.hh"
-#include "harness/worker_pool.hh"
 #include "obs/obs.hh"
 #include "server/inference_server.hh"
 
 using namespace krisp;
-
-namespace
-{
-
-double
-envFaultRate(double fallback)
-{
-    const char *env = std::getenv("KRISP_FAULT_RATE");
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    return std::atof(env);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -62,9 +47,8 @@ main(int argc, char **argv)
     // per-request fault odds (a 0.02 signal-loss rate already fails
     // ~84% of requests).
     std::vector<double> rates = {0.0, 0.001, 0.002, 0.005, 0.02};
-    const double override_rate = envFaultRate(-1.0);
-    if (override_rate >= 0)
-        rates = {override_rate};
+    if (const auto rate = bench::env::real("KRISP_FAULT_RATE"))
+        rates = {*rate};
 
     // One island per fault rate; runAll returns outcomes in spec
     // order, so the table below is identical for any job count.
@@ -82,7 +66,7 @@ main(int argc, char **argv)
             /*collectMetrics=*/true, /*collectTrace=*/false, {}});
     }
     std::vector<harness::RunOutcome> outcomes = harness::runAll(
-        std::move(sweep), harness::jobsFromCommandLine(argc, argv));
+        std::move(sweep), bench::jobs(argc, argv));
 
     TextTable table({"fault_rate", "completed", "ddl_miss", "failed",
                      "availability", "p95_ms", "rps", "wd_kills",

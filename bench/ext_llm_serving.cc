@@ -22,7 +22,7 @@
  * sweep runs on the WorkerPool and the report is byte-identical for
  * any --jobs value.
  *
- * Environment knobs (see EXPERIMENTS.md):
+ * Environment knobs (see EXPERIMENTS.md; ranges in bench_util.hh):
  *   KRISP_LLM_SEED        base seed for all cells (uint64)
  *   KRISP_LLM_MODEL       zoo LLM name (default llm-small)
  *   KRISP_LLM_RATE_SCALE  multiplier on every cell's arrival rate
@@ -30,7 +30,6 @@
  *   KRISP_LLM_SLO_MS      end-to-end goodput SLO (default 400 ms)
  */
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -58,36 +57,24 @@ struct Cell
     LlmResult result;
 };
 
-double
-envDouble(const char *name, double fallback)
-{
-    const char *env = std::getenv(name);
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    return std::strtod(env, nullptr);
-}
-
+/** The sweep's shared configuration, from the KRISP_LLM_* knobs. */
 LlmEngineConfig
-cellConfig(const Cell &cell)
+baseConfig()
 {
     LlmEngineConfig cfg;
-    const char *model = std::getenv("KRISP_LLM_MODEL");
-    if (model != nullptr && model[0] != '\0')
+    // LlmEngine rejects a name that is not a zoo LLM.
+    if (const char *model = bench::env::text("KRISP_LLM_MODEL"))
         cfg.model = model;
-    cfg.scheduler = cell.scheduler;
     cfg.policy = PartitionPolicy::KrispIsolated;
-    cfg.arrivalRatePerSec = cell.rate.ratePerSec;
     cfg.kvBudgetBytes =
-        envDouble("KRISP_LLM_KV_MB", 256.0) * 1024 * 1024;
+        bench::env::real("KRISP_LLM_KV_MB").value_or(256.0) * 1024 *
+        1024;
     cfg.e2eSloNs = static_cast<Tick>(
-        envDouble("KRISP_LLM_SLO_MS", 400.0) * 1e6);
+        bench::env::real("KRISP_LLM_SLO_MS").value_or(400.0) * 1e6);
     cfg.warmupNs = ticksFromMs(20.0);
     cfg.measureNs = bench::quickMode() ? ticksFromMs(120.0)
                                        : ticksFromMs(400.0);
-    const char *seed = std::getenv("KRISP_LLM_SEED");
-    cfg.seed = (seed != nullptr && seed[0] != '\0')
-                   ? std::strtoull(seed, nullptr, 0)
-                   : 0x11AA5ULL;
+    cfg.seed = bench::env::count("KRISP_LLM_SEED").value_or(0x11AA5ULL);
     return cfg;
 }
 
@@ -101,7 +88,9 @@ main(int argc, char **argv)
         "extension: continuous vs static batching for "
         "autoregressive LLM serving (prefill/decode, KV cache)");
 
-    const double rate_scale = envDouble("KRISP_LLM_RATE_SCALE", 1.0);
+    const LlmEngineConfig base = baseConfig();
+    const double rate_scale =
+        bench::env::real("KRISP_LLM_RATE_SCALE").value_or(1.0);
     std::vector<RatePoint> rates = {
         {"low", 64.0},
         {"mid", 256.0},
@@ -116,11 +105,14 @@ main(int argc, char **argv)
              {LlmScheduler::Static, LlmScheduler::Continuous})
             cells.push_back(Cell{r, s, {}});
 
-    const unsigned jobs = harness::jobsFromCommandLine(argc, argv);
+    const unsigned jobs = bench::jobs(argc, argv);
     harness::WorkerPool pool(jobs);
     pool.forEachIndex(cells.size(), [&](std::size_t i) {
         Cell &cell = cells[i];
-        cell.result = LlmEngine(cellConfig(cell)).run();
+        LlmEngineConfig cfg = base;
+        cfg.scheduler = cell.scheduler;
+        cfg.arrivalRatePerSec = cell.rate.ratePerSec;
+        cell.result = LlmEngine(cfg).run();
         // The engine fatal-checks the KV ledger on every transition;
         // the cell-level gate is the end state: everything allocated
         // came back, nothing leaked past the drain.

@@ -29,7 +29,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/fnv.hh"
-#include "harness/worker_pool.hh"
 #include "search/annealer.hh"
 
 using namespace krisp;
@@ -98,7 +97,7 @@ main(int argc, char **argv)
         "ext_placement_search",
         "extension: ParvaGPU/ECLIP-motivated offline placement "
         "search (ROADMAP item 2)");
-    const unsigned jobs = harness::jobsFromCommandLine(argc, argv);
+    const unsigned jobs = bench::jobs(argc, argv);
     const bool quick = bench::quickMode();
 
     PlacementProblem problem = makeProblem();

@@ -109,8 +109,7 @@ main(int argc, char **argv)
     // is byte-identical for any --jobs value.
     const std::size_t points_per_model = 1 + kNumPolicies;
     std::vector<ModelRun> runs(num_models * points_per_model);
-    harness::WorkerPool pool(
-        harness::jobsFromCommandLine(argc, argv));
+    harness::WorkerPool pool(bench::jobs(argc, argv));
     pool.forEachIndex(runs.size(), [&](std::size_t idx) {
         const std::size_t m = idx / points_per_model;
         const std::size_t p = idx % points_per_model;

@@ -19,7 +19,6 @@
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "harness/worker_pool.hh"
 #include "models/model_zoo.hh"
 
 using namespace krisp;
@@ -42,7 +41,7 @@ main(int argc, char **argv)
         for (const PartitionPolicy policy : allPartitionPolicies())
             for (const unsigned w : worker_counts)
                 specs.push_back({info.name, policy, w, std::nullopt});
-    ctx.prefetch(specs, harness::jobsFromCommandLine(argc, argv));
+    ctx.prefetch(specs, bench::jobs(argc, argv));
 
     // policy -> worker count -> normalized RPS / energy ratios.
     std::map<PartitionPolicy, std::map<unsigned, std::vector<double>>>

@@ -14,7 +14,6 @@
 #include "bench/bench_util.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
-#include "harness/worker_pool.hh"
 #include "models/model_zoo.hh"
 
 using namespace krisp;
@@ -26,7 +25,7 @@ main(int argc, char **argv)
         "fig14_batch_sensitivity",
         "Fig. 14 (geomean normalized RPS, batch 16 and 8)");
 
-    const unsigned jobs = harness::jobsFromCommandLine(argc, argv);
+    const unsigned jobs = bench::jobs(argc, argv);
     for (const unsigned batch : {16u, 8u}) {
         ExperimentContext ctx(bench::paperConfig(batch));
         std::vector<EvalSpec> specs;

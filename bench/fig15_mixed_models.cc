@@ -14,7 +14,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/table.hh"
-#include "harness/worker_pool.hh"
 #include "models/model_zoo.hh"
 
 using namespace krisp;
@@ -68,8 +67,7 @@ main(int argc, char **argv)
         for (std::size_t j = i + 1; j < workloads.size(); ++j)
             model_pairs.emplace_back(workloads[i].name,
                                      workloads[j].name);
-    ctx.prefetchMixedPairs(model_pairs, policies,
-                           harness::jobsFromCommandLine(argc, argv));
+    ctx.prefetchMixedPairs(model_pairs, policies, bench::jobs(argc, argv));
     TextTable pairs({"pair", "mps-default", "model-right-size",
                      "krisp-o", "krisp-i"});
     std::map<PartitionPolicy, std::vector<double>> dist;

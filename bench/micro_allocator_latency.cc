@@ -159,6 +159,8 @@ meanNs(Fn &&fn)
 int
 main(int argc, char **argv)
 {
+    bench::BenchReport report("micro_allocator_latency",
+                              "Sec. IV-D3 (Algorithm 1 latency)");
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
@@ -167,8 +169,6 @@ main(int argc, char **argv)
 
     // BENCH summary: the repeat-allocation saving the reconfig
     // policies lean on, measured directly.
-    bench::BenchReport report("micro_allocator_latency",
-                              "Sec. IV-D3 (Algorithm 1 latency)");
     ResourceMonitor idle(arch);
 
     MaskAllocator cold(DistributionPolicy::Conserved);

@@ -12,7 +12,6 @@
 
 #include "bench/bench_util.hh"
 #include "common/table.hh"
-#include "harness/worker_pool.hh"
 #include "models/model_zoo.hh"
 
 using namespace krisp;
@@ -32,7 +31,7 @@ main(int argc, char **argv)
         for (const PartitionPolicy policy : allPartitionPolicies())
             for (const unsigned w : worker_counts)
                 specs.push_back({info.name, policy, w, std::nullopt});
-    ctx.prefetch(specs, harness::jobsFromCommandLine(argc, argv));
+    ctx.prefetch(specs, bench::jobs(argc, argv));
 
     TextTable table({"model", "mps-default", "static-equal",
                      "model-right-size", "krisp-o", "krisp-i",

@@ -4,13 +4,13 @@
  * each spatial partitioning policy; prints throughput, tail latency
  * and energy per inference — a miniature of the paper's Fig. 13.
  *
- * Usage: colocated_serving [model] [workers] [batch]
+ * Usage: colocated_serving [model] [workers 1-64] [batch 1-1024]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "server/experiment.hh"
 
@@ -21,9 +21,13 @@ main(int argc, char **argv)
 {
     const std::string model = argc > 1 ? argv[1] : "resnet152";
     const unsigned workers =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
+        argc > 2 ? static_cast<unsigned>(
+                       parseUnsigned(argv[2], "workers", 1, 64))
+                 : 4;
     const unsigned batch =
-        argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 32;
+        argc > 3 ? static_cast<unsigned>(
+                       parseUnsigned(argv[3], "batch", 1, 1024))
+                 : 32;
 
     ServerConfig base;
     base.batch = batch;

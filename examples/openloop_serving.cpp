@@ -4,13 +4,13 @@
  * frontend's batching queue into four workers; compares unrestricted
  * sharing against KRISP at a configurable request rate.
  *
- * Usage: openloop_serving [model] [rate_rps] [workers]
+ * Usage: openloop_serving [model] [rate_rps, up to 1e6] [workers 1-64]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "server/load_generator.hh"
 
@@ -20,9 +20,12 @@ int
 main(int argc, char **argv)
 {
     const std::string model = argc > 1 ? argv[1] : "resnet152";
-    const double rate = argc > 2 ? std::atof(argv[2]) : 800.0;
+    const double rate =
+        argc > 2 ? parsePositiveReal(argv[2], "rate_rps", 1e6) : 800.0;
     const unsigned workers =
-        argc > 3 ? static_cast<unsigned>(std::atoi(argv[3])) : 4;
+        argc > 3 ? static_cast<unsigned>(
+                       parseUnsigned(argv[3], "workers", 1, 64))
+                 : 4;
 
     TextTable table({"policy", "achieved_rps", "p50_ms", "p95_ms",
                      "p99_ms", "mean_batch", "queue_ms",

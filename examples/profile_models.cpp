@@ -5,13 +5,13 @@
  * distribution — the data behind Fig. 3 / Fig. 4 / Table III — and
  * compares against the paper's measurements.
  *
- * Usage: profile_models [batch]
+ * Usage: profile_models [batch 1-1024]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "kern/timing_model.hh"
 #include "models/model_zoo.hh"
@@ -23,7 +23,9 @@ int
 main(int argc, char **argv)
 {
     const unsigned batch =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 32;
+        argc > 1 ? static_cast<unsigned>(
+                       parseUnsigned(argv[1], "batch", 1, 1024))
+                 : 32;
 
     const GpuConfig gpu = GpuConfig::mi50();
     ModelZoo zoo(gpu.arch);

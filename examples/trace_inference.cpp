@@ -14,14 +14,14 @@
  * trace-event format, plus the metrics snapshot as
  * <model>.metrics.json. Open the trace at https://ui.perfetto.dev.
  *
- * Usage: trace_inference [model] [batch] [max_rows]
+ * Usage: trace_inference [model] [batch 1-1024] [max_rows 0-100000]
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "common/table.hh"
 #include "core/krisp_runtime.hh"
 #include "gpu/gpu_device.hh"
@@ -92,9 +92,11 @@ main(int argc, char **argv)
 {
     const std::string model = argc > 1 ? argv[1] : "shufflenet";
     const unsigned batch =
-        argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 32;
+        argc > 2 ? static_cast<unsigned>(
+                       parseUnsigned(argv[2], "batch", 1, 1024))
+                 : 32;
     const std::size_t max_rows =
-        argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 20;
+        argc > 3 ? parseUnsigned(argv[3], "max_rows", 0, 100000) : 20;
     const ArchParams arch = ArchParams::mi50();
 
     const TraceResult base = traceRun(model, batch, false);

@@ -1257,9 +1257,7 @@ ClusterServer::run()
     st.hedging = config_.resilience.enabled &&
                  config_.resilience.hedging;
     if (st.obs != nullptr) {
-        // Before shard construction: shard timelines mirror the
-        // cluster window (makeMergeChild).
-        bindObsToRun(*st.obs, st.ctl());
+        st.obs->trace.setClock(&st.ctl());
         st.trace = &st.obs->trace;
         MetricsRegistry &m = st.obs->metrics;
         st.droppedMetric = &m.counter("cluster.dropped");

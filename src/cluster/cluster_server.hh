@@ -81,7 +81,7 @@ struct ClusterConfig
     Tick requestDeadlineNs = 0;
     Tick batchWatchdogNs = 0;
     /** Reconfiguration-elision policy (see ServerConfig::reconfig). */
-    ReconfigPolicy reconfig = reconfigPolicyFromEnv();
+    ReconfigPolicy reconfig = ReconfigPolicy::Always;
     /**
      * Optional per-shard CU grant caps (shardGrantCapCus[s] caps
      * shard s, 0 = uncapped). Empty means no static caps. Brownout
@@ -134,8 +134,6 @@ struct ClusterConfig
      * cluster/parallel_engine.hh). Either engine produces
      * byte-identical metrics, routing hashes and results for equal
      * configs; the engine only decides how the LP queues execute.
-     * Defaults honour KRISP_ENGINE / KRISP_ENGINE_WORKERS /
-     * KRISP_ENGINE_WINDOW_NS.
      */
     EngineConfig engine;
 

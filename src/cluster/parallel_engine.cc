@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -23,42 +21,6 @@ clusterEngineName(ClusterEngine engine)
       case ClusterEngine::Parallel: return "parallel";
     }
     return "?";
-}
-
-ClusterEngine
-clusterEngineFromEnv()
-{
-    const char *env = std::getenv("KRISP_ENGINE");
-    if (env == nullptr || *env == '\0')
-        return ClusterEngine::Sequential;
-    if (std::strcmp(env, "sequential") == 0)
-        return ClusterEngine::Sequential;
-    if (std::strcmp(env, "parallel") == 0)
-        return ClusterEngine::Parallel;
-    fatal("unknown KRISP_ENGINE '", env,
-          "' (expected sequential|parallel)");
-}
-
-unsigned
-engineWorkersFromEnv()
-{
-    const char *env = std::getenv("KRISP_ENGINE_WORKERS");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    const long n = std::atol(env);
-    fatal_if(n < 0, "KRISP_ENGINE_WORKERS must be >= 0: ", env);
-    return static_cast<unsigned>(n);
-}
-
-Tick
-engineWindowNsFromEnv()
-{
-    const char *env = std::getenv("KRISP_ENGINE_WINDOW_NS");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    const long long n = std::atoll(env);
-    fatal_if(n < 0, "KRISP_ENGINE_WINDOW_NS must be >= 0: ", env);
-    return static_cast<Tick>(n);
 }
 
 Tick
@@ -434,8 +396,8 @@ makeClusterFabric(const EngineConfig &config, unsigned numShards,
         unsigned workers = config.workers != 0 ? config.workers : hw;
         // Oversubscribing the phase-B pool only adds context-switch
         // overhead inside a fixed conservative window, so clamp a
-        // too-large request (KRISP_ENGINE_WORKERS or explicit
-        // config) to the hardware instead of honouring it silently.
+        // too-large request to the hardware instead of honouring it
+        // silently.
         if (workers > hw) {
             warn("engine workers ", workers,
                  " exceed hardware concurrency ", hw,

@@ -57,23 +57,14 @@ enum class ClusterEngine
 
 const char *clusterEngineName(ClusterEngine engine);
 
-/** KRISP_ENGINE={sequential,parallel}; default Sequential. */
-ClusterEngine clusterEngineFromEnv();
-
-/** KRISP_ENGINE_WORKERS=<n>; 0 (default) = hardware concurrency. */
-unsigned engineWorkersFromEnv();
-
-/** KRISP_ENGINE_WINDOW_NS=<ticks>; 0 (default) = full lookahead. */
-Tick engineWindowNsFromEnv();
-
 /** Engine selection knobs (a ClusterConfig embeds one). */
 struct EngineConfig
 {
-    ClusterEngine engine = clusterEngineFromEnv();
+    ClusterEngine engine = ClusterEngine::Sequential;
     /** Parallel phase workers; 0 = hardware concurrency. */
-    unsigned workers = engineWorkersFromEnv();
+    unsigned workers = 0;
     /** Window override, clamped to [1, lookahead]; 0 = lookahead. */
-    Tick windowNs = engineWindowNsFromEnv();
+    Tick windowNs = 0;
 };
 
 /**

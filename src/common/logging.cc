@@ -24,8 +24,9 @@ levelTag(LogLevel level)
     return "?";
 }
 
+/** Threshold from KRISP_LOG_LEVEL, the one variable the library reads. */
 LogLevel
-levelFromEnv()
+initialLevel()
 {
     const char *env = std::getenv("KRISP_LOG_LEVEL");
     if (env == nullptr)
@@ -50,7 +51,7 @@ levelFromEnv()
 std::atomic<LogLevel> &
 threshold()
 {
-    static std::atomic<LogLevel> level{levelFromEnv()};
+    static std::atomic<LogLevel> level{initialLevel()};
     return level;
 }
 

@@ -1,8 +1,6 @@
 #include "core/krisp_runtime.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
 #include "common/logging.hh"
@@ -29,23 +27,6 @@ reconfigPolicyName(ReconfigPolicy policy)
       case ReconfigPolicy::Group: return "group";
     }
     panic("unknown reconfig policy");
-}
-
-ReconfigPolicy
-reconfigPolicyFromEnv(ReconfigPolicy fallback)
-{
-    const char *env = std::getenv("KRISP_RECONFIG_POLICY");
-    if (env == nullptr || env[0] == '\0')
-        return fallback;
-    const std::string value(env);
-    if (value == "always")
-        return ReconfigPolicy::Always;
-    if (value == "elide")
-        return ReconfigPolicy::Elide;
-    if (value == "group")
-        return ReconfigPolicy::Group;
-    fatal("KRISP_RECONFIG_POLICY must be always|elide|group, got: ",
-          value);
 }
 
 KrispRuntime::KrispRuntime(HipRuntime &hip, const KernelSizer &sizer,

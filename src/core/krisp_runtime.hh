@@ -72,14 +72,6 @@ enum class ReconfigPolicy
 const char *reconfigPolicyName(ReconfigPolicy policy);
 
 /**
- * Policy requested via KRISP_RECONFIG_POLICY ("always" | "elide" |
- * "group", case-sensitive); @p fallback when unset. An unrecognised
- * value is a fatal config error, not a silent default.
- */
-ReconfigPolicy reconfigPolicyFromEnv(
-    ReconfigPolicy fallback = ReconfigPolicy::Always);
-
-/**
  * Bounded retry-with-exponential-backoff for failed CU-mask
  * reconfiguration ioctls (emulated enforcement). Attempt n waits
  * backoffNs * backoffMultiplier^(n-1) before resubmitting; after

@@ -14,7 +14,8 @@
  *
  * Islanding rules (see DESIGN.md §8): a run may own everything it
  * instantiates; the only cross-run state is read-only (model zoo
- * tables, env-var knobs, the log-level threshold, which is atomic).
+ * tables, the log-level threshold, which is atomic). The library
+ * reads no environment, so a run is a function of its spec alone.
  */
 
 #ifndef KRISP_HARNESS_PARALLEL_RUNNER_HH

@@ -1,10 +1,7 @@
 #include "harness/worker_pool.hh"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,48 +11,6 @@ namespace krisp
 {
 namespace harness
 {
-
-namespace
-{
-
-unsigned
-parseJobs(const char *text, const char *origin)
-{
-    char *end = nullptr;
-    const long value = std::strtol(text, &end, 10);
-    fatal_if(end == text || *end != '\0' || value < 1 ||
-                 value > 4096,
-             "invalid ", origin, " value '", text,
-             "' (expected an integer in [1, 4096])");
-    return static_cast<unsigned>(value);
-}
-
-} // namespace
-
-unsigned
-defaultJobs()
-{
-    const char *env = std::getenv("KRISP_JOBS");
-    if (env != nullptr && env[0] != '\0')
-        return parseJobs(env, "KRISP_JOBS");
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
-}
-
-unsigned
-jobsFromCommandLine(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strcmp(arg, "--jobs") == 0) {
-            fatal_if(i + 1 >= argc, "--jobs needs a value");
-            return parseJobs(argv[i + 1], "--jobs");
-        }
-        if (std::strncmp(arg, "--jobs=", 7) == 0)
-            return parseJobs(arg + 7, "--jobs");
-    }
-    return defaultJobs();
-}
 
 WorkerPool::WorkerPool(unsigned jobs) : jobs_(jobs > 0 ? jobs : 1)
 {

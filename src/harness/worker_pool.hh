@@ -10,12 +10,8 @@
  * spec order. The pool hands out task indices from an atomic counter;
  * callers write results into pre-sized slots keyed by index, which
  * keeps every merged artifact byte-identical regardless of the thread
- * count.
- *
- * Job-count resolution (highest priority first):
- *   --jobs N / --jobs=N on the bench command line,
- *   KRISP_JOBS environment variable,
- *   std::thread::hardware_concurrency().
+ * count. The caller picks the thread count (the benches resolve
+ * --jobs and KRISP_JOBS in bench::jobs).
  */
 
 #ifndef KRISP_HARNESS_WORKER_POOL_HH
@@ -28,16 +24,6 @@ namespace krisp
 {
 namespace harness
 {
-
-/** KRISP_JOBS env var if set, else hardware_concurrency, min 1. */
-unsigned defaultJobs();
-
-/**
- * Resolve the worker count for a bench binary: scans @p argv for
- * "--jobs N" or "--jobs=N" (fatal on a malformed value) and falls
- * back to defaultJobs(). Other arguments are ignored.
- */
-unsigned jobsFromCommandLine(int argc, char **argv);
 
 /** Runs indexed tasks over a fixed set of worker threads. */
 class WorkerPool

@@ -36,22 +36,6 @@ struct ObsContext
 };
 
 /**
- * Bind @p obs to a run: stamp trace records with @p clock, and apply
- * the KRISP_TIMELINE opt-in unless the caller already enabled the
- * timeline. Call before attachObs: components read
- * timeline.enabled() once while wiring their feeds.
- */
-inline void
-bindObsToRun(ObsContext &obs, const EventQueue &clock)
-{
-    obs.trace.setClock(&clock);
-    if (!obs.timeline.enabled()) {
-        if (const Tick window = TimelineRecorder::envWindowNs())
-            obs.timeline.enable(window);
-    }
-}
-
-/**
  * A context for one component whose metrics and timeline are merged
  * into @p parent (MetricsRegistry / TimelineRecorder::mergeInto): the
  * timeline mirrors the parent's window, and the trace sink is off,

@@ -1,7 +1,6 @@
 #include "obs/timeline.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -11,25 +10,6 @@
 
 namespace krisp
 {
-
-Tick
-TimelineRecorder::envWindowNs()
-{
-    const char *on = std::getenv("KRISP_TIMELINE");
-    if (on == nullptr || on[0] == '\0' || on[0] == '0')
-        return 0;
-    Tick window_ms = 10;
-    if (const char *w = std::getenv("KRISP_TIMELINE_WINDOW_MS")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(w, &end, 10);
-        fatal_if(end == w || *end != '\0' || v == 0,
-                 "KRISP_TIMELINE_WINDOW_MS must be a positive "
-                 "integer, got '",
-                 w, "'");
-        window_ms = v;
-    }
-    return window_ms * 1'000'000;
-}
 
 void
 TimelineRecorder::enable(Tick windowNs)

@@ -62,9 +62,7 @@ struct TimelineWindow
 
 /**
  * Fixed-width window accumulator. Disabled (all record calls are
- * cheap no-ops) until enable() sets a non-zero window width; the
- * environment variables KRISP_TIMELINE / KRISP_TIMELINE_WINDOW_MS
- * provide the conventional opt-in (see envWindowNs()).
+ * cheap no-ops) until enable() sets a non-zero window width.
  */
 class TimelineRecorder
 {
@@ -73,12 +71,6 @@ class TimelineRecorder
 
     TimelineRecorder(const TimelineRecorder &) = delete;
     TimelineRecorder &operator=(const TimelineRecorder &) = delete;
-
-    /**
-     * Window width requested by the environment: 0 when KRISP_TIMELINE
-     * is unset/0, otherwise KRISP_TIMELINE_WINDOW_MS (default 10 ms).
-     */
-    static Tick envWindowNs();
 
     /** Turn recording on with @p windowNs-wide windows (0 disables). */
     void enable(Tick windowNs);

@@ -1,7 +1,6 @@
 #include "obs/trace_sink.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -153,28 +152,11 @@ TraceArg::hex(std::string key, std::uint64_t bits)
     return TraceArg{std::move(key), buf};
 }
 
-TraceSink::TraceSink(const EventQueue *clock)
-    : clock_(clock), sample_(envSample())
-{
-}
+TraceSink::TraceSink(const EventQueue *clock) : clock_(clock) {}
 
 TraceSink::~TraceSink()
 {
     closeStream();
-}
-
-std::uint64_t
-TraceSink::envSample()
-{
-    const char *env = std::getenv("KRISP_TRACE_SAMPLE");
-    if (env == nullptr || env[0] == '\0')
-        return 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    fatal_if(end == env || *end != '\0',
-             "KRISP_TRACE_SAMPLE must be a non-negative integer, got '",
-             env, "'");
-    return v;
 }
 
 bool

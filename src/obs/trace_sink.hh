@@ -127,9 +127,6 @@ class TraceSink
     bool enabled() const { return enabled_; }
     void setEnabled(bool enabled) { enabled_ = enabled; }
 
-    /** KRISP_TRACE_SAMPLE value (0 = unset / keep everything). */
-    static std::uint64_t envSample();
-
     /** Recording stops (with one warning) past this many records. */
     void setLimit(std::size_t limit) { limit_ = limit; }
 

@@ -117,9 +117,9 @@ class PlacementSearch
     EvalCache &cache() { return cache_; }
 
     /**
-     * Run the search on @p jobs workers (0 = hardware concurrency,
-     * matching harness::WorkerPool). The result is byte-identical
-     * for any jobs value.
+     * Run the search on @p jobs workers (0 is treated as 1, as in
+     * harness::WorkerPool). The result is byte-identical for any
+     * jobs value.
      */
     SearchResult run(unsigned jobs);
 

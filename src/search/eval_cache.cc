@@ -1,11 +1,11 @@
 #include "search/eval_cache.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
 #include "common/fnv.hh"
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "obs/json_parse.hh"
 
 namespace krisp
@@ -66,12 +66,17 @@ EvalCache::loadJson(const std::string &path)
         return false;
     }
     std::unique_lock<std::mutex> lock(m_);
-    for (const json::Value &e : entries->arr) {
+    for (std::size_t i = 0; i < entries->arr.size(); ++i) {
+        const json::Value &e = entries->arr[i];
+        // A key that does not parse names no config: end the run
+        // naming the entry rather than skip it or read it as key 0.
+        const std::string origin = detail::concat(
+            "eval cache ", path, " entries[", i, "].fp");
         const json::Value *fp = e.find("fp");
         if (fp == nullptr || !fp->isString())
-            continue;
-        const std::uint64_t key = std::strtoull(
-            fp->str.c_str(), nullptr, 16);
+            fatal(origin, " is not a string");
+        const std::uint64_t key =
+            parseUnsigned(fp->str, origin, 0, UINT64_MAX);
         Entry &entry = entries_[key];
         auto field = [&e](const char *name, double fallback) {
             const json::Value *v = e.find(name);

@@ -73,7 +73,11 @@ class EvalCache
     SimOutcome getOrCompute(std::uint64_t fingerprint,
                             const std::function<SimOutcome()> &compute);
 
-    /** Load a persisted snapshot; false if absent/unreadable. */
+    /**
+     * Load a persisted snapshot; false if absent/unreadable. An entry
+     * whose "fp" key is not a 0x-hex or decimal 64-bit integer is a
+     * fatal error naming the file and the entry index.
+     */
     bool loadJson(const std::string &path);
     /** Persist all ready entries, sorted by fingerprint. */
     void saveJson(const std::string &path) const;

@@ -62,7 +62,7 @@ struct GpuShardConfig
     /** Shard-local fault scenario (already re-seeded via forShard). */
     FaultPlan faults;
     /** Reconfiguration-elision policy (see ServerConfig::reconfig). */
-    ReconfigPolicy reconfig = reconfigPolicyFromEnv();
+    ReconfigPolicy reconfig = ReconfigPolicy::Always;
     /**
      * Context the shard reports into (owned by the caller, must
      * outlive the shard; null = no telemetry). Enable its timeline

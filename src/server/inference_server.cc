@@ -257,7 +257,7 @@ InferenceServer::run()
     st.device = std::make_unique<GpuDevice>(st.eq, GpuConfig::mi50());
     st.hip = std::make_unique<HipRuntime>(st.eq, *st.device);
     if (obs != nullptr) {
-        bindObsToRun(*obs, st.eq);
+        obs->trace.setClock(&st.eq);
         st.hip->attachObs(obs);
     }
     st.recorder = RequestRecorder(obs, false);

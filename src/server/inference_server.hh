@@ -74,10 +74,9 @@ struct ServerConfig
     Tick requestTimeoutNs = 0;
     /**
      * Reconfiguration-elision policy for the KRISP policies under
-     * emulated enforcement; defaults to KRISP_RECONFIG_POLICY (or
-     * Always, the paper's per-launch protocol, when unset).
+     * emulated enforcement; Always is the paper's per-launch protocol.
      */
-    ReconfigPolicy reconfig = reconfigPolicyFromEnv();
+    ReconfigPolicy reconfig = ReconfigPolicy::Always;
 
     /**
      * Optional observability context (owned by the caller, must

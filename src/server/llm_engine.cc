@@ -580,7 +580,7 @@ LlmEngine::run()
         static_cast<std::uint64_t>(config_.kvBudgetBytes);
     st.obs = config_.obs;
     if (st.obs != nullptr) {
-        bindObsToRun(*st.obs, st.eq);
+        st.obs->trace.setClock(&st.eq);
         MetricsRegistry &m = st.obs->metrics;
         st.obsTtftMs = &m.percentiles("server.llm.ttft_ms");
         st.obsItlMs = &m.percentiles("server.llm.itl_ms");

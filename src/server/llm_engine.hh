@@ -60,7 +60,7 @@ struct LlmEngineConfig
     LlmScheduler scheduler = LlmScheduler::Continuous;
     PartitionPolicy policy = PartitionPolicy::KrispIsolated;
     EnforcementMode enforcement = EnforcementMode::Native;
-    ReconfigPolicy reconfig = reconfigPolicyFromEnv();
+    ReconfigPolicy reconfig = ReconfigPolicy::Always;
 
     /** Poisson arrival rate across the whole engine. */
     double arrivalRatePerSec = 64.0;

@@ -251,7 +251,7 @@ OpenLoopServer::run()
     st.rng = Rng(config_.seed);
     ObsContext *obs = config_.obs;
     if (obs != nullptr) {
-        bindObsToRun(*obs, st.eq);
+        obs->trace.setClock(&st.eq);
         st.droppedMetric = &obs->metrics.counter("server.dropped");
         st.shedMetric = &obs->metrics.counter("server.deadline_misses");
     }

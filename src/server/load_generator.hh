@@ -74,7 +74,7 @@ struct OpenLoopConfig
      */
     Tick batchWatchdogNs = 0;
     /** Reconfiguration-elision policy (see ServerConfig::reconfig). */
-    ReconfigPolicy reconfig = reconfigPolicyFromEnv();
+    ReconfigPolicy reconfig = ReconfigPolicy::Always;
 
     /**
      * Optional observability context (owned by the caller, must

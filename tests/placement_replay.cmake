@@ -1,12 +1,32 @@
-# CTest driver for `krisp_placement replay` (see tests/CMakeLists.txt).
+# CTest driver for `krisp_placement` (see tests/CMakeLists.txt).
 #
 #   cmake -DTOOL=<krisp_placement> -DPLAN=<plan.json> -DFIELD=<field>
 #         -P placement_replay.cmake
 #       passes when replaying PLAN exits 1 naming "plan field FIELD:".
+#   cmake -DTOOL=<krisp_placement> -DPLAN=<path to write> -DFLAG=<flag>
+#         -DVALUE=<value> -P placement_replay.cmake
+#       passes when `search FLAG VALUE` exits 1 naming FLAG, before it
+#       searches or writes PLAN.
 #   cmake -DTOOL=<krisp_placement> -DPLAN=<path to write>
 #         -P placement_replay.cmake
 #       runs a small search that writes PLAN, then passes when
 #       replaying it exits 0 and reprints the recorded fingerprint.
+
+if(DEFINED FLAG)
+    execute_process(COMMAND "${TOOL}" search ${FLAG} "${VALUE}"
+                            --plan "${PLAN}"
+                    RESULT_VARIABLE rc OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1)
+        message(FATAL_ERROR
+                "search ${FLAG} ${VALUE} exited ${rc}, want 1\n${out}${err}")
+    endif()
+    string(FIND "${err}" "invalid ${FLAG} value" at)
+    if(at EQUAL -1)
+        message(FATAL_ERROR "search did not name ${FLAG}:\n${err}")
+    endif()
+    return()
+endif()
 
 if(DEFINED FIELD)
     execute_process(COMMAND "${TOOL}" replay --plan "${PLAN}"

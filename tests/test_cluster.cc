@@ -3,20 +3,80 @@
  * Tests for the multi-GPU cluster: routing policies, shard bring-up,
  * fault-driven failover, and seed-replay determinism (the metrics
  * JSON and routing-decision hash must be byte-identical no matter
- * how many harness threads execute the sweep).
+ * how many harness threads execute the sweep). Also pins that the
+ * serving configs' defaults are constants no environment changes.
  */
 
+#include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/cluster_server.hh"
+#include "cluster/parallel_engine.hh"
 #include "harness/worker_pool.hh"
+#include "obs/obs.hh"
+#include "server/gpu_shard.hh"
+#include "server/inference_server.hh"
+#include "server/llm_engine.hh"
+#include "server/load_generator.hh"
 
 namespace krisp
 {
 namespace
 {
+
+// ---- configs are values -------------------------------------------
+
+TEST(ConfigDefaults, IgnoreEnvironment)
+{
+    // Variables that once set these defaults. A default-constructed
+    // config must be the same value in any shell: the fingerprint
+    // keys placement plans and the eval cache.
+    const char *const vars[][2] = {
+        {"KRISP_RECONFIG_POLICY", "group"},
+        {"KRISP_ENGINE", "parallel"},
+        {"KRISP_ENGINE_WORKERS", "3"},
+        {"KRISP_ENGINE_WINDOW_NS", "1234"},
+        {"KRISP_TIMELINE", "1"},
+        {"KRISP_TIMELINE_WINDOW_MS", "5"},
+        {"KRISP_TRACE_SAMPLE", "3"},
+    };
+    for (const auto &v : vars)
+        ::unsetenv(v[0]);
+    const std::uint64_t unsetFingerprint = ClusterConfig{}.fingerprint();
+    for (const auto &v : vars)
+        ::setenv(v[0], v[1], 1);
+
+    EXPECT_EQ(ServerConfig{}.reconfig, ReconfigPolicy::Always);
+    EXPECT_EQ(OpenLoopConfig{}.reconfig, ReconfigPolicy::Always);
+    EXPECT_EQ(ClusterConfig{}.reconfig, ReconfigPolicy::Always);
+    EXPECT_EQ(LlmEngineConfig{}.reconfig, ReconfigPolicy::Always);
+    EXPECT_EQ(GpuShardConfig{}.reconfig, ReconfigPolicy::Always);
+    const EngineConfig engine;
+    EXPECT_EQ(engine.engine, ClusterEngine::Sequential);
+    EXPECT_EQ(engine.workers, 0u);
+    EXPECT_EQ(engine.windowNs, 0u);
+    EXPECT_EQ(ClusterConfig{}.fingerprint(), unsetFingerprint);
+
+    // Nor does a run turn the timeline or sampling on behind the
+    // caller's back.
+    ObsContext obs;
+    EXPECT_EQ(obs.trace.sample(), 0u);
+    ServerConfig run;
+    run.workerModels = {"squeezenet"};
+    run.batch = 1;
+    run.warmupRequests = 1;
+    run.measuredRequests = 1;
+    run.obs = &obs;
+    InferenceServer(run).run();
+    EXPECT_FALSE(obs.timeline.enabled());
+    EXPECT_EQ(obs.trace.sample(), 0u);
+
+    for (const auto &v : vars)
+        ::unsetenv(v[0]);
+}
 
 // ---- ClusterRouter ------------------------------------------------
 

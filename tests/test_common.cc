@@ -1,15 +1,18 @@
 /**
  * @file
  * Unit tests for the common utilities: statistics accumulators,
- * deterministic RNG, text tables and tick conversions.
+ * deterministic RNG, text tables, tick conversions and the checked
+ * parser for outside input.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/random.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -520,6 +523,44 @@ TEST(CommonDeath, HistogramEmptyRange)
 {
     EXPECT_EXIT(Histogram(1.0, 1.0, 4),
                 ::testing::ExitedWithCode(1), "empty");
+}
+
+// ---- checked parsing of outside input --------------------------------
+
+TEST(Parse, AcceptsDecimalHexAndReals)
+{
+    EXPECT_EQ(parseUnsigned("4096", "n", 1, 4096), 4096u);
+    EXPECT_EQ(parseUnsigned("0xC4A05", "n", 0, UINT64_MAX), 0xC4A05u);
+    EXPECT_EQ(parseUnsigned("0X11aa5", "n", 0, UINT64_MAX), 0x11AA5u);
+    EXPECT_EQ(parseUnsigned("18446744073709551615", "n", 0, UINT64_MAX),
+              UINT64_MAX);
+    EXPECT_EQ(parseReal("0.01", "x", 0, 1), 0.01);
+    EXPECT_EQ(parseReal("-2.5e1", "x", -100, 0), -25.0);
+    EXPECT_EQ(parsePositiveReal("123.4567891", "x", 1e6), 123.4567891);
+}
+
+TEST(ParseDeath, RejectsWholeTextOrRangeAndNamesOrigin)
+{
+    const auto dies = ::testing::ExitedWithCode(1);
+    // Wrap-around, signs, spaces, trailing text, empty, overflow.
+    for (const char *bad : {"-1", "+1", " 1", "1 ", "1x", "", "0x",
+                            "0x-1", "abc", "99999999999999999999"})
+        EXPECT_EXIT(parseUnsigned(bad, "--chains", 0, UINT64_MAX), dies,
+                    "invalid --chains value")
+            << "'" << bad << "'";
+    EXPECT_EXIT(parseUnsigned("4097", "KRISP_JOBS", 1, 4096), dies,
+                "invalid KRISP_JOBS value '4097' \\(expected an "
+                "integer in \\[1, 4096\\]\\)");
+    for (const char *bad : {"nan", "inf", "abc", "1e999", "0.5x", "",
+                            "2"})
+        EXPECT_EXIT(parseReal(bad, "KRISP_FAULT_RATE", 0, 1), dies,
+                    "invalid KRISP_FAULT_RATE value")
+            << "'" << bad << "'";
+    for (const char *bad : {"0", "-1", "nan"})
+        EXPECT_EXIT(parsePositiveReal(bad, "--rate", 1e6), dies,
+                    "invalid --rate value .* \\(expected a number in "
+                    "\\(0, 1e\\+06\\]\\)")
+            << "'" << bad << "'";
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the parallel experiment harness: worker pool semantics
- * (ordering, exception propagation, job-count resolution) and the
- * determinism guarantee — merged results and per-run artifacts are
- * identical for any thread count.
+ * (ordering, exception propagation) and the determinism guarantee —
+ * merged results and per-run artifacts are identical for any thread
+ * count — plus the benches' environment edge (bench_util.hh), which
+ * resolves the job count and checks every KRISP_* variable.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.hh"
 #include "harness/parallel_runner.hh"
 #include "harness/worker_pool.hh"
 #include "server/experiment.hh"
@@ -98,34 +100,91 @@ TEST(WorkerPool, LowestIndexExceptionWinsAndAllTasksRun)
     }
 }
 
-TEST(WorkerPool, JobsFromCommandLine)
+// ---- the bench edge: the only reader of the environment ----------
+
+/** Sets a variable for one test and unsets it afterwards. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv() { ::unsetenv(name_); }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+};
+
+TEST(BenchEdge, JobsFromCommandLine)
 {
     const char *argv1[] = {"bench", "--jobs", "5"};
-    EXPECT_EQ(harness::jobsFromCommandLine(
-                  3, const_cast<char **>(argv1)),
-              5u);
+    EXPECT_EQ(bench::jobs(3, const_cast<char **>(argv1)), 5u);
     const char *argv2[] = {"bench", "--jobs=12"};
-    EXPECT_EQ(harness::jobsFromCommandLine(
-                  2, const_cast<char **>(argv2)),
-              12u);
+    EXPECT_EQ(bench::jobs(2, const_cast<char **>(argv2)), 12u);
+    const char *argv3[] = {"bench", "--jobs", "0x10"};
+    EXPECT_EQ(bench::jobs(3, const_cast<char **>(argv3)), 16u);
 }
 
-TEST(WorkerPool, JobsFromEnvironment)
+TEST(BenchEdge, JobsFlagBeatsEnvironment)
 {
-    ASSERT_EQ(setenv("KRISP_JOBS", "3", 1), 0);
-    EXPECT_EQ(harness::defaultJobs(), 3u);
-    // The command line wins over the environment.
-    const char *argv[] = {"bench", "--jobs=2"};
-    EXPECT_EQ(harness::jobsFromCommandLine(
-                  2, const_cast<char **>(argv)),
-              2u);
-    // Without a --jobs flag the environment decides.
     const char *bare[] = {"bench"};
-    EXPECT_EQ(harness::jobsFromCommandLine(
-                  1, const_cast<char **>(bare)),
-              3u);
-    ASSERT_EQ(unsetenv("KRISP_JOBS"), 0);
-    EXPECT_GE(harness::defaultJobs(), 1u);
+    {
+        const ScopedEnv jobs("KRISP_JOBS", "3");
+        // The command line wins over the environment.
+        const char *argv[] = {"bench", "--jobs=2"};
+        EXPECT_EQ(bench::jobs(2, const_cast<char **>(argv)), 2u);
+        // Without a --jobs flag the environment decides.
+        EXPECT_EQ(bench::jobs(1, const_cast<char **>(bare)), 3u);
+    }
+    // Without either, the hardware thread count.
+    EXPECT_GE(bench::jobs(1, const_cast<char **>(bare)), 1u);
+}
+
+TEST(BenchEdge, EngineSelection)
+{
+    EXPECT_EQ(bench::engine().engine, ClusterEngine::Sequential);
+    EXPECT_EQ(bench::engine().workers, 0u);
+
+    const ScopedEnv engine("KRISP_ENGINE", "parallel");
+    const ScopedEnv workers("KRISP_ENGINE_WORKERS", "3");
+    EXPECT_EQ(bench::engine().engine, ClusterEngine::Parallel);
+    EXPECT_EQ(bench::engine().workers, 3u);
+    // The window stays the lookahead: no variable sets it.
+    EXPECT_EQ(bench::engine().windowNs, 0u);
+    ::setenv("KRISP_ENGINE", "sequential", 1);
+    EXPECT_EQ(bench::engine().engine, ClusterEngine::Sequential);
+}
+
+TEST(BenchEdgeDeath, MalformedValuesExitNamingTheirOrigin)
+{
+    const char *flag[] = {"bench", "--jobs", "abc"};
+    EXPECT_EXIT(bench::jobs(3, const_cast<char **>(flag)),
+                ::testing::ExitedWithCode(1), "invalid --jobs value");
+    const char *bare[] = {"bench"};
+    {
+        const ScopedEnv jobs("KRISP_JOBS", "4097");
+        EXPECT_EXIT(bench::jobs(1, const_cast<char **>(bare)),
+                    ::testing::ExitedWithCode(1),
+                    "invalid KRISP_JOBS value '4097'");
+    }
+    {
+        const ScopedEnv engine("KRISP_ENGINE", "sometimes");
+        EXPECT_EXIT(bench::env::checkAll(), ::testing::ExitedWithCode(1),
+                    "invalid KRISP_ENGINE value 'sometimes'");
+    }
+    {
+        const ScopedEnv rate("KRISP_FAULT_RATE", "abc");
+        EXPECT_EXIT(bench::env::checkAll(), ::testing::ExitedWithCode(1),
+                    "invalid KRISP_FAULT_RATE value 'abc'");
+    }
+    {
+        const ScopedEnv stale("KRISP_RECONFIG_POLICY", "group");
+        EXPECT_EXIT(bench::env::checkAll(), ::testing::ExitedWithCode(1),
+                    "unknown environment variable KRISP_RECONFIG_POLICY");
+    }
 }
 
 // ---- determinism: thread-count invariance -----------------------

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,31 +42,6 @@ TEST(ConservativeWindow, ClampsOverrideIntoLookahead)
     // Zero lookahead cannot be windowed at all.
     EXPECT_EQ(conservativeWindowNs(0, 0), 0u);
     EXPECT_EQ(conservativeWindowNs(0, 100), 0u);
-}
-
-TEST(EngineEnv, ParsesSelectionKnobs)
-{
-    ::unsetenv("KRISP_ENGINE");
-    ::unsetenv("KRISP_ENGINE_WORKERS");
-    ::unsetenv("KRISP_ENGINE_WINDOW_NS");
-    // The default engine is the sequential oracle: every golden file
-    // under tests/golden was produced by it and must stay pinned to
-    // it unless a run opts in to the parallel engine.
-    EXPECT_EQ(EngineConfig{}.engine, ClusterEngine::Sequential);
-    EXPECT_EQ(EngineConfig{}.workers, 0u);
-    EXPECT_EQ(EngineConfig{}.windowNs, 0u);
-
-    ::setenv("KRISP_ENGINE", "parallel", 1);
-    ::setenv("KRISP_ENGINE_WORKERS", "3", 1);
-    ::setenv("KRISP_ENGINE_WINDOW_NS", "1234", 1);
-    EXPECT_EQ(clusterEngineFromEnv(), ClusterEngine::Parallel);
-    EXPECT_EQ(engineWorkersFromEnv(), 3u);
-    EXPECT_EQ(engineWindowNsFromEnv(), 1234u);
-    ::setenv("KRISP_ENGINE", "sequential", 1);
-    EXPECT_EQ(clusterEngineFromEnv(), ClusterEngine::Sequential);
-    ::unsetenv("KRISP_ENGINE");
-    ::unsetenv("KRISP_ENGINE_WORKERS");
-    ::unsetenv("KRISP_ENGINE_WINDOW_NS");
 }
 
 // ---- standalone fabric behaviour ----------------------------------

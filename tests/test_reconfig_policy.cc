@@ -6,7 +6,6 @@
  * (stream-lifetime safety across ioctl retries, backoff clamping).
  */
 
-#include <cstdlib>
 #include <gtest/gtest.h>
 
 #include "core/krisp_runtime.hh"
@@ -95,34 +94,6 @@ TEST(ReconfigPolicy, Names)
                  "always");
     EXPECT_STREQ(reconfigPolicyName(ReconfigPolicy::Elide), "elide");
     EXPECT_STREQ(reconfigPolicyName(ReconfigPolicy::Group), "group");
-}
-
-TEST(ReconfigPolicy, EnvParsing)
-{
-    ::unsetenv("KRISP_RECONFIG_POLICY");
-    EXPECT_EQ(reconfigPolicyFromEnv(), ReconfigPolicy::Always);
-    EXPECT_EQ(reconfigPolicyFromEnv(ReconfigPolicy::Group),
-              ReconfigPolicy::Group);
-    ::setenv("KRISP_RECONFIG_POLICY", "", 1);
-    EXPECT_EQ(reconfigPolicyFromEnv(ReconfigPolicy::Elide),
-              ReconfigPolicy::Elide);
-    ::setenv("KRISP_RECONFIG_POLICY", "always", 1);
-    EXPECT_EQ(reconfigPolicyFromEnv(ReconfigPolicy::Group),
-              ReconfigPolicy::Always);
-    ::setenv("KRISP_RECONFIG_POLICY", "elide", 1);
-    EXPECT_EQ(reconfigPolicyFromEnv(), ReconfigPolicy::Elide);
-    ::setenv("KRISP_RECONFIG_POLICY", "group", 1);
-    EXPECT_EQ(reconfigPolicyFromEnv(), ReconfigPolicy::Group);
-    ::unsetenv("KRISP_RECONFIG_POLICY");
-}
-
-TEST(ReconfigPolicyDeath, EnvRejectsUnknownValue)
-{
-    ::setenv("KRISP_RECONFIG_POLICY", "sometimes", 1);
-    EXPECT_EXIT(reconfigPolicyFromEnv(),
-                ::testing::ExitedWithCode(1),
-                "KRISP_RECONFIG_POLICY");
-    ::unsetenv("KRISP_RECONFIG_POLICY");
 }
 
 TEST(ReconfigPolicy, AlwaysPaysFullProtocolPerLaunch)

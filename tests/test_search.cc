@@ -3,9 +3,10 @@
  * Placement-search test suite (search/): shard-order invariance of
  * the canonical ClusterConfig fingerprint, candidate
  * canonicalisation, the two dedup layers of the eval cache
- * (cross-chain promise sharing + warm JSON snapshots), cold-vs-warm
- * search equivalence, --jobs byte-identity of the annealer, the
- * engine worker clamp, and the krisp-report placement section.
+ * (cross-chain promise sharing + warm JSON snapshots, whose malformed
+ * keys fail loudly), cold-vs-warm search equivalence, --jobs
+ * byte-identity of the annealer, the engine worker clamp, and the
+ * krisp-report placement section.
  *
  * Ground truth is injected (setSimFn) wherever the property under
  * test is about the search machinery, so the suite stays fast and
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -370,6 +372,26 @@ TEST(EvalCache, JsonRoundTripPreservesOutcomes)
     EXPECT_EQ(back.dropRate, out.dropRate);
     EXPECT_EQ(back.availability, out.availability);
     EXPECT_EQ(warm.stats().warmHits, 1u);
+    std::remove(path.c_str());
+}
+
+TEST(EvalCacheDeath, MalformedKeyNamesFileAndEntry)
+{
+    // A key that does not parse must not alias another config's
+    // entry (strtoull read "zz" as key 0).
+    const std::string path =
+        testing::TempDir() + "krisp_eval_cache_bad_key.json";
+    {
+        std::ofstream out(path);
+        out << "{\"version\": 1, \"entries\": [\n"
+               "  {\"fp\": \"0x00000000deadbeef\", \"p50_ms\": 1},\n"
+               "  {\"fp\": \"zz\", \"p50_ms\": 2}\n"
+               "]}\n";
+    }
+    EvalCache cache;
+    EXPECT_EXIT(cache.loadJson(path), ::testing::ExitedWithCode(1),
+                "krisp_eval_cache_bad_key\\.json entries\\[1\\]\\.fp "
+                "value 'zz'");
     std::remove(path.c_str());
 }
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,12 +24,13 @@
 
 #include "cluster/cluster_server.hh"
 #include "common/stats.hh"
-#include "harness/parallel_runner.hh"
+#include "harness/worker_pool.hh"
 #include "obs/json.hh"
 #include "obs/json_parse.hh"
 #include "obs/obs.hh"
 #include "obs/report.hh"
 #include "obs/timeline.hh"
+#include "server/inference_server.hh"
 #include "server/load_generator.hh"
 
 #ifndef KRISP_GOLDEN_DIR
@@ -410,47 +412,41 @@ TEST(TraceStreaming, StreamedFileMatchesRetainedRecords)
 
 TEST(HarnessTelemetry, ArtifactsAreByteIdenticalAcrossJobs)
 {
-    ::setenv("KRISP_TIMELINE", "1", 1);
-    ::setenv("KRISP_TIMELINE_WINDOW_MS", "5", 1);
-    ::setenv("KRISP_TRACE_SAMPLE", "3", 1);
-
-    auto specs = [] {
-        std::vector<harness::RunSpec> out;
-        for (const char *model : {"shufflenet", "alexnet", "vgg19"}) {
-            harness::RunSpec spec;
-            spec.tag = model;
-            spec.config.workerModels = {model, model};
-            spec.config.batch = 4;
-            spec.config.warmupRequests = 1;
-            spec.config.measuredRequests = 3;
-            spec.collectMetrics = true;
-            spec.collectTrace = true;
-            out.push_back(std::move(spec));
-        }
+    const std::vector<std::string> models = {"shufflenet", "alexnet",
+                                             "vgg19"};
+    // One island per model, each with its own context: 5 ms timeline
+    // windows and 1/3 request sampling, set by the caller.
+    auto runIslands = [&](unsigned jobs) {
+        std::vector<std::unique_ptr<ObsContext>> out(models.size());
+        harness::WorkerPool(jobs).forEachIndex(
+            models.size(), [&](std::size_t i) {
+                auto obs = std::make_unique<ObsContext>();
+                obs->timeline.enable(ticksFromMs(5.0));
+                obs->trace.setSample(3);
+                ServerConfig cfg;
+                cfg.workerModels = {models[i], models[i]};
+                cfg.batch = 4;
+                cfg.warmupRequests = 1;
+                cfg.measuredRequests = 3;
+                cfg.obs = obs.get();
+                InferenceServer(cfg).run();
+                out[i] = std::move(obs);
+            });
         return out;
     };
-    auto seq = harness::runAll(specs(), 1);
-    auto par = harness::runAll(specs(), 8);
+    const auto seq = runIslands(1);
+    const auto par = runIslands(8);
 
-    ::unsetenv("KRISP_TIMELINE");
-    ::unsetenv("KRISP_TIMELINE_WINDOW_MS");
-    ::unsetenv("KRISP_TRACE_SAMPLE");
-
-    ASSERT_EQ(seq.size(), par.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        ASSERT_NE(seq[i].obs, nullptr);
-        ASSERT_NE(par[i].obs, nullptr);
-        EXPECT_EQ(seq[i].obs->metrics.toJson(),
-                  par[i].obs->metrics.toJson())
-            << "metrics diverged for " << seq[i].tag;
-        EXPECT_EQ(seq[i].obs->timeline.toJson(),
-                  par[i].obs->timeline.toJson())
-            << "timeline diverged for " << seq[i].tag;
-        EXPECT_EQ(seq[i].obs->trace.toChromeJson(),
-                  par[i].obs->trace.toChromeJson())
-            << "trace diverged for " << seq[i].tag;
-        EXPECT_TRUE(seq[i].obs->timeline.enabled());
-        EXPECT_EQ(seq[i].obs->trace.sample(), 3u);
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        EXPECT_EQ(seq[i]->metrics.toJson(), par[i]->metrics.toJson())
+            << "metrics diverged for " << models[i];
+        EXPECT_EQ(seq[i]->timeline.toJson(), par[i]->timeline.toJson())
+            << "timeline diverged for " << models[i];
+        EXPECT_EQ(seq[i]->trace.toChromeJson(),
+                  par[i]->trace.toChromeJson())
+            << "trace diverged for " << models[i];
+        EXPECT_FALSE(seq[i]->timeline.windows().empty());
+        EXPECT_GT(seq[i]->trace.size(), 0u);
     }
 }
 

@@ -16,18 +16,20 @@
  * cost — the round trip proves a plan is self-contained. Replay
  * checks every plan field and the recorded fingerprint first: a
  * malformed, out-of-range or edited plan exits 1 naming the field.
+ * Search checks its numeric flags the same way and names the flag.
  */
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "common/fnv.hh"
+#include "common/parse.hh"
 #include "obs/json.hh"
 #include "obs/json_parse.hh"
 #include "obs/metrics.hh"
@@ -37,6 +39,20 @@ using namespace krisp;
 
 namespace
 {
+
+/** Largest shard count: a model's homes are a 64-bit shard mask. */
+constexpr std::uint64_t maxShards = 64;
+/**
+ * Largest traffic weight a plan may carry: each unit of weight is one
+ * entry in the replayed config's model list.
+ */
+constexpr std::uint64_t maxPlanWeight = 1000;
+/** Largest seed a JSON number (a double) holds exactly: 2^53. */
+constexpr std::uint64_t maxPlanSeed = 1ULL << 53;
+/** Search effort bounds: chains run at once, steps each. */
+constexpr std::uint64_t maxChains = 256;
+constexpr std::uint64_t maxSteps = 100000;
+constexpr std::uint64_t maxJobs = 4096;
 
 void
 usage(const char *argv0)
@@ -48,8 +64,14 @@ usage(const char *argv0)
         "                 [--chains N] [--steps N] [--seed S]\n"
         "                 [--jobs N] [--cache FILE] [--plan FILE]\n"
         "                 [--metrics FILE] [--emulated]\n"
-        "       %s replay --plan FILE\n",
-        argv0, argv0);
+        "       %s replay --plan FILE\n"
+        "--shards 1-%llu, each weight 1-%llu, --rate > 0, --chains "
+        "1-%llu,\n--steps 1-%llu, --jobs 1-%llu; a bad value exits 1\n",
+        argv0, argv0, static_cast<unsigned long long>(maxShards),
+        static_cast<unsigned long long>(maxPlanWeight),
+        static_cast<unsigned long long>(maxChains),
+        static_cast<unsigned long long>(maxSteps),
+        static_cast<unsigned long long>(maxJobs));
 }
 
 std::vector<std::string>
@@ -209,14 +231,6 @@ planEnum(const json::Value *v, const std::string &field,
     rejectField(field, "unknown value: " + name);
 }
 
-/**
- * Largest traffic weight a plan may carry: each unit of weight is one
- * entry in the replayed config's model list.
- */
-constexpr std::uint64_t maxPlanWeight = 1000;
-/** Largest seed a JSON number (a double) holds exactly: 2^53. */
-constexpr std::uint64_t maxPlanSeed = 1ULL << 53;
-
 int
 runReplay(const std::string &plan_path)
 {
@@ -234,7 +248,7 @@ runReplay(const std::string &plan_path)
         rejectField("arrival_rate_per_sec", "must be positive");
     ClusterConfig cfg = searchBase(rate);
     cfg.numShards = static_cast<unsigned>(
-        planInt(plan.find("num_shards"), "num_shards", 1, 64));
+        planInt(plan.find("num_shards"), "num_shards", 1, maxShards));
     cfg.seed = planInt(plan.find("seed"), "seed", 0, maxPlanSeed);
     cfg.routing = planEnum(plan.find("routing"), "routing",
                            {RoutingPolicy::RoundRobin,
@@ -331,7 +345,7 @@ main(int argc, char **argv)
     std::vector<unsigned> weights;
     unsigned shards = 4;
     double rate = 400.0;
-    unsigned jobs = 0;
+    unsigned jobs = 1;
     std::string cache_path;
     std::string plan_path = "placement_plan.json";
     std::string metrics_path;
@@ -348,27 +362,31 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A flag's value must parse whole and lie in its range, or
+        // the run exits 1 naming the flag.
+        auto count = [&](std::uint64_t lo, std::uint64_t hi) {
+            return static_cast<unsigned>(
+                parseUnsigned(next(), arg, lo, hi));
+        };
         if (arg == "--shards") {
-            shards = static_cast<unsigned>(std::atoi(next()));
+            shards = count(1, maxShards);
         } else if (arg == "--models") {
             models = splitList(next());
         } else if (arg == "--weights") {
             weights.clear();
             for (const std::string &w : splitList(next()))
-                weights.push_back(
-                    static_cast<unsigned>(std::atoi(w.c_str())));
+                weights.push_back(static_cast<unsigned>(
+                    parseUnsigned(w, arg, 1, maxPlanWeight)));
         } else if (arg == "--rate") {
-            rate = std::atof(next());
+            rate = parsePositiveReal(next(), arg);
         } else if (arg == "--chains") {
-            search.chains =
-                static_cast<unsigned>(std::atoi(next()));
+            search.chains = count(1, maxChains);
         } else if (arg == "--steps") {
-            search.stepsPerChain =
-                static_cast<unsigned>(std::atoi(next()));
+            search.stepsPerChain = count(1, maxSteps);
         } else if (arg == "--seed") {
-            search.seed = std::strtoull(next(), nullptr, 0);
+            search.seed = parseUnsigned(next(), arg, 0, UINT64_MAX);
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(next()));
+            jobs = count(1, maxJobs);
         } else if (arg == "--cache") {
             cache_path = next();
         } else if (arg == "--plan") {

@@ -11,16 +11,17 @@
  * TimelineRecorder dump, optional benchmark results) and prints SLO
  * attainment at the given deadline, the request phase breakdown,
  * utilization/power, and the top-k kernels by CU-seconds. Exits
- * non-zero on unreadable or malformed input.
+ * non-zero on unreadable or malformed input; a malformed number
+ * exits 1 naming its flag.
  */
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parse.hh"
 #include "obs/json_parse.hh"
 #include "obs/report.hh"
 
@@ -33,7 +34,8 @@ usage(const char *argv0)
     std::fprintf(
         stderr,
         "usage: %s --metrics FILE [--timeline FILE] [--slo-ms MS]\n"
-        "          [--top-k N] [--bench FILE]...\n",
+        "          [--top-k N] [--bench FILE]...\n"
+        "--slo-ms in (0, 1e6], --top-k in [0, 100000]\n",
         argv0);
 }
 
@@ -79,10 +81,10 @@ main(int argc, char **argv)
         } else if (arg == "--bench") {
             bench_paths.push_back(next());
         } else if (arg == "--slo-ms") {
-            opts.sloMs = std::strtod(next(), nullptr);
+            opts.sloMs = krisp::parsePositiveReal(next(), arg, 1e6);
         } else if (arg == "--top-k") {
             opts.topK = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
+                krisp::parseUnsigned(next(), arg, 0, 100000));
         } else if (arg == "--help" || arg == "-h") {
             usage(argv[0]);
             return 0;
