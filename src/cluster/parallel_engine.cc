@@ -123,41 +123,47 @@ class SingleQueueFabric : public ClusterFabric
     void
     run(Tick limit) override
     {
-        // Lazy min-heap of (next tick, lp) snapshots; stale entries
-        // are dropped on pop by re-checking the queue. Ties break
+        // Min-heap of (next tick, lp) holding at most one live entry
+        // per LP: key_[lp] is the tick of LP lp's live entry. A head
+        // moves only when its LP steps or receives a post, so only
+        // those LPs are re-read; an entry whose tick no longer
+        // matches its key is stale and dropped on pop. Ties break
         // toward the lowest LP index, so the control plane always
         // executes first at a shared tick — mirroring the windowed
         // fabric, where the control phase leads every window.
         using Head = std::pair<Tick, unsigned>;
         std::priority_queue<Head, std::vector<Head>,
                             std::greater<Head>> heads;
-        for (unsigned lp = 0; lp < numLps(); ++lp) {
+        auto refresh = [&](unsigned lp) {
             const Tick t = queues_[lp]->nextEventTick();
+            if (t == key_[lp])
+                return;
+            key_[lp] = t;
             if (t != maxTick)
                 heads.push({t, lp});
-        }
+        };
+        key_.assign(numLps(), maxTick);
+        for (unsigned lp = 0; lp < numLps(); ++lp)
+            refresh(lp);
         dirty_.clear();
         while (!heads.empty()) {
             const auto [t, lp] = heads.top();
-            const Tick real = queues_[lp]->nextEventTick();
-            if (real != t) {
+            if (t != key_[lp]) {
                 heads.pop();
-                if (real != maxTick)
-                    heads.push({real, lp});
                 continue;
             }
             if (t > limit)
                 break;
+            panic_if(queues_[lp]->nextEventTick() != t, "LP ", lp,
+                     " head moved from ", t, " to ",
+                     queues_[lp]->nextEventTick(),
+                     " without a step or a post");
             heads.pop();
+            key_[lp] = maxTick;
             queues_[lp]->step();
-            const Tick next = queues_[lp]->nextEventTick();
-            if (next != maxTick)
-                heads.push({next, lp});
-            for (const unsigned d : dirty_) {
-                const Tick dn = queues_[d]->nextEventTick();
-                if (dn != maxTick)
-                    heads.push({dn, d});
-            }
+            refresh(lp);
+            for (const unsigned d : dirty_)
+                refresh(d);
             dirty_.clear();
         }
     }
@@ -165,6 +171,8 @@ class SingleQueueFabric : public ClusterFabric
   private:
     /** LPs that received a message during the current step. */
     std::vector<unsigned> dirty_;
+    /** Tick of each LP's live heap entry; maxTick when it has none. */
+    std::vector<Tick> key_;
 };
 
 /** One buffered shard-to-control message awaiting the barrier. */
@@ -276,14 +284,14 @@ class WindowedFabric : public ClusterFabric
     void
     startPool()
     {
-        errors_.resize(workers_);
+        errors_.resize(numLps());
         threads_.reserve(workers_);
         for (unsigned j = 0; j < workers_; ++j)
-            threads_.emplace_back([this, j] { workerLoop(j); });
+            threads_.emplace_back([this] { workerLoop(); });
     }
 
     void
-    workerLoop(unsigned j)
+    workerLoop()
     {
         std::uint64_t seen = 0;
         for (;;) {
@@ -298,11 +306,17 @@ class WindowedFabric : public ClusterFabric
                 seen = phaseGen_;
                 end = phaseEnd_;
             }
-            try {
-                for (unsigned lp = 1 + j; lp < numLps(); lp += workers_)
+            // Claim shard LPs one at a time, so a worker whose LPs
+            // are light this window takes more instead of idling at
+            // the barrier. Each LP writes only its own outbox, so the
+            // claim order cannot reach the drained schedule.
+            for (unsigned lp = nextLp_.fetch_add(1); lp < numLps();
+                 lp = nextLp_.fetch_add(1)) {
+                try {
                     queues_[lp]->runBefore(end);
-            } catch (...) {
-                errors_[j] = std::current_exception();
+                } catch (...) {
+                    errors_[lp] = std::current_exception();
+                }
             }
             {
                 std::lock_guard<std::mutex> lock(m_);
@@ -323,6 +337,7 @@ class WindowedFabric : public ClusterFabric
         {
             std::lock_guard<std::mutex> lock(m_);
             phaseEnd_ = end;
+            nextLp_.store(1);
             running_ = workers_;
             ++phaseGen_;
         }
@@ -331,6 +346,7 @@ class WindowedFabric : public ClusterFabric
             std::unique_lock<std::mutex> lock(m_);
             doneCv_.wait(lock, [&] { return running_ == 0; });
         }
+        // The lowest failing LP wins, as on the inline path.
         for (auto &err : errors_) {
             if (err) {
                 std::exception_ptr e = err;
@@ -363,7 +379,10 @@ class WindowedFabric : public ClusterFabric
 
     // ---- persistent phase-B pool ---------------------------------
     std::vector<std::thread> threads_;
+    /** Per-LP phase-B failure, rethrown lowest LP first. */
     std::vector<std::exception_ptr> errors_;
+    /** Next shard LP to claim in the current phase B. */
+    std::atomic<unsigned> nextLp_{1};
     std::mutex m_;
     std::condition_variable cv_;
     std::condition_variable doneCv_;

@@ -68,8 +68,20 @@ GpuDevice::GpuDevice(EventQueue &eq, GpuConfig config)
           eq, [this](FluidScheduler &fs) { recomputeRates(fs); },
           [this](JobId job) { onKernelComplete(job); }),
       resident_(config_.arch.totalCus(), 0),
-      scratch_cu_demand_(config_.arch.totalCus(), 0.0)
+      scratch_cu_demand_(config_.arch.totalCus(), 0.0),
+      scratch_cu_share_(config_.arch.totalCus(), 0.0)
 {
+}
+
+double
+GpuDevice::contentionPow(unsigned k)
+{
+    while (contention_pow_.size() <= k) {
+        contention_pow_.push_back(std::pow(
+            config_.contentionPenalty,
+            static_cast<double>(contention_pow_.size())));
+    }
+    return contention_pow_[k];
 }
 
 void
@@ -513,6 +525,20 @@ GpuDevice::recomputeRates(FluidScheduler &fs)
         }
     }
 
+    // Per-CU share factor: a CU whose aggregate occupancy demand
+    // exceeds its capacity scales everyone proportionally; a
+    // multiplicative interference penalty applies per co-resident
+    // kernel regardless. Both depend on the CU alone, so each CU's
+    // factor is computed once here rather than once per kernel.
+    for (unsigned cu = 0; cu < total_cus; ++cu) {
+        const unsigned n = resident_[cu];
+        if (n == 0)
+            continue;
+        scratch_cu_share_[cu] =
+            std::min(1.0, 1.0 / scratch_cu_demand_[cu]) *
+            contentionPow(n - 1);
+    }
+
     scratch_evals_.clear();
 
     for (const JobId job : jobs) {
@@ -525,22 +551,13 @@ GpuDevice::recomputeRates(FluidScheduler &fs)
             fs.setRate(job, 0.0);
             continue;
         }
-        // Per-CU slowdown: a CU whose aggregate occupancy demand
-        // exceeds its capacity scales everyone proportionally; a
-        // multiplicative interference penalty applies per co-resident
-        // kernel regardless.
         double share_sum = 0;
         for (std::uint64_t bits = rk.mask.bits(); bits != 0;
              bits &= bits - 1) {
             const auto cu =
                 static_cast<unsigned>(std::countr_zero(bits));
-            const unsigned n = resident_[cu];
-            panic_if(n == 0, "running kernel on idle CU");
-            const double scale =
-                std::min(1.0, 1.0 / scratch_cu_demand_[cu]);
-            share_sum +=
-                scale * std::pow(config_.contentionPenalty,
-                                 static_cast<double>(n - 1));
+            panic_if(resident_[cu] == 0, "running kernel on idle CU");
+            share_sum += scratch_cu_share_[cu];
         }
         const double avg_share = share_sum / rk.mask.count();
         const double t_compute = std::max(

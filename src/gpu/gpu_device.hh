@@ -225,6 +225,8 @@ class GpuDevice
     void watchdogFire(JobId job);
     void retireKernel(RunningKernel rk, bool killed);
     void recomputeRates(FluidScheduler &fs);
+    /** contentionPenalty^k, tabulated as residency counts appear. */
+    double contentionPow(unsigned k);
     void updatePower();
     /** Adopt @p rk as running job @p job (residency map updated). */
     void adoptRunning(JobId job, RunningKernel rk);
@@ -271,11 +273,15 @@ class GpuDevice
      * rebuilding it from scratch on every event.
      */
     std::vector<unsigned> resident_;
+    /** contention_pow_[k] = std::pow(contentionPenalty, k). */
+    std::vector<double> contention_pow_;
 
     // Scratch buffers reused across recomputeRates() calls: the
     // dispatch/retire hot path runs allocation-free in steady state.
     std::vector<JobId> scratch_jobs_;
     std::vector<double> scratch_cu_demand_;
+    /** Per-CU share factor, valid for CUs with a resident kernel. */
+    std::vector<double> scratch_cu_share_;
     std::vector<RateEval> scratch_evals_;
     std::vector<double> scratch_demands_;
     std::vector<double> scratch_grants_;

@@ -1,5 +1,6 @@
 #include "search/eval_cache.hh"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -68,26 +69,38 @@ EvalCache::loadJson(const std::string &path)
     std::unique_lock<std::mutex> lock(m_);
     for (std::size_t i = 0; i < entries->arr.size(); ++i) {
         const json::Value &e = entries->arr[i];
+        const std::string where =
+            detail::concat("eval cache ", path, " entries[", i, "].");
         // A key that does not parse names no config: end the run
         // naming the entry rather than skip it or read it as key 0.
-        const std::string origin = detail::concat(
-            "eval cache ", path, " entries[", i, "].fp");
+        const std::string origin = where + "fp";
         const json::Value *fp = e.find("fp");
         if (fp == nullptr || !fp->isString())
             fatal(origin, " is not a string");
         const std::uint64_t key =
             parseUnsigned(fp->str, origin, 0, UINT64_MAX);
         Entry &entry = entries_[key];
-        auto field = [&e](const char *name, double fallback) {
+        // An outcome read as a fallback would still count as a warm,
+        // trusted result, so every field must be present and in
+        // range; the two rates are ratios, as ClusterServer computes
+        // them.
+        auto field = [&e, &where](const char *name, bool ratio) {
             const json::Value *v = e.find(name);
-            return v != nullptr ? v->numberOr(fallback) : fallback;
+            if (v == nullptr)
+                fatal(where, name, " is missing");
+            if (!v->isNumber() || !std::isfinite(v->num) || v->num < 0)
+                fatal(where, name, " is not a finite number >= 0");
+            if (ratio && v->num > 1)
+                fatal(where, name, " value ", v->num,
+                      " is a ratio above 1");
+            return v->num;
         };
-        entry.outcome.p50Ms = field("p50_ms", 0);
-        entry.outcome.p95Ms = field("p95_ms", 0);
-        entry.outcome.p99Ms = field("p99_ms", 0);
-        entry.outcome.energyPerRequestJ = field("energy_j", 0);
-        entry.outcome.dropRate = field("drop_rate", 0);
-        entry.outcome.availability = field("availability", 1.0);
+        entry.outcome.p50Ms = field("p50_ms", false);
+        entry.outcome.p95Ms = field("p95_ms", false);
+        entry.outcome.p99Ms = field("p99_ms", false);
+        entry.outcome.energyPerRequestJ = field("energy_j", false);
+        entry.outcome.dropRate = field("drop_rate", true);
+        entry.outcome.availability = field("availability", true);
         entry.ready = true;
         warm_.insert(key);
     }

@@ -5,6 +5,9 @@
  * and power accounting.
  */
 
+#include <cmath>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/mask_allocator.hh"
@@ -202,6 +205,61 @@ TEST(GpuDevice, LowOccupancyKernelsShareWithoutSlowdown)
     // Within the small interference penalty of solo latency.
     EXPECT_LT(done[0], solo_done + solo_done / 5);
     EXPECT_LT(done[1], solo_done + solo_done / 5);
+}
+
+/**
+ * Push @p n copies of @p k onto the first @p n of @p queues at the
+ * current tick, run them to completion, and expect each to finish
+ * within one tick of start + overhead + solo compute time divided by
+ * contentionPenalty^(n - 1): with summed demand <= 1 the occupancy
+ * scale is 1, so the co-residency penalty is the only slowdown.
+ */
+void
+expectPenalisedWave(Fixture &fx, const std::vector<HsaQueue *> &queues,
+                    const KernelDescPtr &k, unsigned n)
+{
+    const Tick start = fx.eq.now();
+    std::vector<Tick> done(n, 0);
+    for (unsigned i = 0; i < n; ++i) {
+        auto sig = HsaSignal::create(1);
+        sig->waitZero([&, i] { done[i] = fx.eq.now(); });
+        queues[i]->push(AqlPacket::dispatch(k, sig));
+    }
+    fx.eq.run();
+    const double solo =
+        timing::computeTimeNs(*k, CuMask::full(arch), arch);
+    const double expect =
+        static_cast<double>(start + fx.overheadNs()) +
+        solo / std::pow(fx.cfg.contentionPenalty, n - 1.0);
+    for (unsigned i = 0; i < n; ++i)
+        EXPECT_NEAR(static_cast<double>(done[i]), expect, 1.0)
+            << n << " co-resident kernels, kernel " << i;
+}
+
+TEST(GpuDevice, ContentionPenaltyCompoundsPerCoResidentKernel)
+{
+    // 6 workgroups at saturation 8 ask for 1/80 of the device each.
+    const auto k = computeKernel(6, 1000.0, 8);
+    for (unsigned n = 1; n <= 8; ++n) {
+        Fixture fx;
+        std::vector<HsaQueue *> queues;
+        for (unsigned i = 0; i < n; ++i)
+            queues.push_back(&fx.device.createQueue());
+        expectPenalisedWave(fx, queues, k, n);
+    }
+}
+
+TEST(GpuDevice, ContentionPenaltyHoldsAcrossWavesOfAnySize)
+{
+    // One device: the second wave needs penalty powers past the first
+    // wave's, the third and fourth read back powers already held.
+    Fixture fx;
+    std::vector<HsaQueue *> queues;
+    for (unsigned i = 0; i < 8; ++i)
+        queues.push_back(&fx.device.createQueue());
+    const auto k = computeKernel(6, 1000.0, 8);
+    for (const unsigned n : {2u, 8u, 1u, 5u})
+        expectPenalisedWave(fx, queues, k, n);
 }
 
 TEST(GpuDevice, BarrierAndWaitsForDependencies)

@@ -9,12 +9,18 @@
  * tests for the window computation, mailbox drain order, the
  * zero-lookahead fallback, and property tests for the conservative
  * horizon and exactly-once cross-LP delivery on random schedules.
+ * The oracle's own execution order is pinned against a literal
+ * (next tick, LP index) stepper, and a phase-B failure must surface
+ * the lowest failing LP whichever worker ran it.
  */
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -182,6 +188,260 @@ TEST(ClusterFabric, PropertyRandomSchedulesAgreeAndRespectHorizon)
         EXPECT_EQ(seq_bad, 0u);
         EXPECT_EQ(par_bad, 0u) << "horizon violated, seed " << seed;
         EXPECT_EQ(one_bad, 0u);
+    }
+}
+
+// ---- sequential oracle vs a literal reference ---------------------
+
+/** (LP, event id) of one executed event. */
+using Fired = std::pair<unsigned, std::uint64_t>;
+
+/**
+ * A random message-protocol workload. Every event logs (LP, id) and
+ * then draws its actions from one Rng in execution order, so two
+ * fabrics that execute it in the same order produce the same log and
+ * any divergence shows in it. Control events post to shards at, or
+ * before, the shard's current head (refilling drained shards); shard
+ * events schedule local work, post to control, and cancel their own
+ * events at their head, which moves the head later.
+ */
+class OrderWorkload
+{
+  public:
+    OrderWorkload(ClusterFabric &fab, std::uint64_t seed,
+                  unsigned budget)
+        : fab_(fab), rng_(seed), budget_(budget),
+          local_(fab.numLps())
+    {
+        // Seed events: every shard but one in four, plus control.
+        for (unsigned lp = 0; lp < fab_.numLps(); ++lp) {
+            if (lp != 0 && rng_.below(4) == 0)
+                continue; // starts drained; a control post fills it
+            for (unsigned i = 1 + rng_.below(3); i > 0; --i)
+                local(lp, rng_.below(40));
+        }
+    }
+
+    // Queued callbacks hold this object's address.
+    OrderWorkload(const OrderWorkload &) = delete;
+    OrderWorkload &operator=(const OrderWorkload &) = delete;
+
+    std::vector<Fired> log;
+
+  private:
+    void
+    local(unsigned lp, Tick when)
+    {
+        const std::uint64_t id = nextId_++;
+        const EventId ev = fab_.lpQueue(lp).schedule(
+            when, [this, lp, id] { fire(lp, id); });
+        local_[lp].push_back({when, ev});
+    }
+
+    void
+    post(unsigned src, unsigned dst, Tick when)
+    {
+        const std::uint64_t id = nextId_++;
+        fab_.post(src, dst, when, [this, dst, id] { fire(dst, id); });
+    }
+
+    /** Spend one unit of the event budget; false when it is gone. */
+    bool
+    spend()
+    {
+        if (budget_ == 0)
+            return false;
+        --budget_;
+        return true;
+    }
+
+    void
+    fire(unsigned lp, std::uint64_t id)
+    {
+        log.emplace_back(lp, id);
+        const Tick now = fab_.lpQueue(lp).now();
+        if (lp == 0) {
+            for (unsigned k = rng_.below(3); k > 0 && spend(); --k) {
+                const unsigned s =
+                    1 + static_cast<unsigned>(
+                            rng_.below(fab_.numLps() - 1));
+                const Tick head = fab_.lpQueue(s).nextEventTick();
+                Tick when = now + rng_.below(40); // drained: refill
+                if (head != maxTick) {
+                    // Global order keeps every head at or after now.
+                    when = rng_.below(2) == 0
+                               ? head
+                               : now + rng_.below(head - now + 1);
+                }
+                post(0, s, when);
+            }
+            if (rng_.below(4) != 0 && spend())
+                local(0, now + rng_.below(60));
+            return;
+        }
+        if (rng_.below(4) == 0)
+            cancelHead(lp);
+        if (rng_.below(2) == 0 && spend())
+            local(lp, now + rng_.below(50));
+        if (rng_.below(3) == 0 && spend())
+            post(lp, 0, now + rng_.below(30));
+    }
+
+    /** Cancel this LP's own pending events at its head tick. */
+    void
+    cancelHead(unsigned lp)
+    {
+        EventQueue &q = fab_.lpQueue(lp);
+        const Tick head = q.nextEventTick();
+        for (const auto &[when, ev] : local_[lp])
+            if (when == head)
+                q.deschedule(ev);
+        std::erase_if(local_[lp], [&q](const auto &e) {
+            return !q.pending(e.second);
+        });
+    }
+
+    ClusterFabric &fab_;
+    Rng rng_;
+    unsigned budget_;
+    std::uint64_t nextId_ = 0;
+    /** Per LP: (tick, handle) of the local events it scheduled. */
+    std::vector<std::vector<std::pair<Tick, EventId>>> local_;
+};
+
+/**
+ * The oracle's contract, stepped literally: execute the LP with the
+ * smallest (next event tick, LP index) until every head lies past
+ * @p limit.
+ */
+void
+stepInReferenceOrder(ClusterFabric &fab, Tick limit)
+{
+    for (;;) {
+        unsigned best = 0;
+        Tick best_tick = maxTick;
+        for (unsigned lp = 0; lp < fab.numLps(); ++lp) {
+            const Tick t = fab.lpQueue(lp).nextEventTick();
+            if (t < best_tick) {
+                best_tick = t;
+                best = lp;
+            }
+        }
+        if (best_tick == maxTick || best_tick > limit)
+            return;
+        fab.lpQueue(best).step();
+    }
+}
+
+std::vector<Tick>
+lpClocks(ClusterFabric &fab)
+{
+    std::vector<Tick> clocks;
+    for (unsigned lp = 0; lp < fab.numLps(); ++lp)
+        clocks.push_back(fab.lpQueue(lp).now());
+    return clocks;
+}
+
+TEST(SequentialOracle, ExecutesRandomSchedulesInReferenceOrder)
+{
+    for (const unsigned shards : {6u, 64u}) {
+        for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+            const unsigned budget = 600 * (shards + 1);
+            const auto oracle = makeClusterFabric(
+                engineOf(ClusterEngine::Sequential, 1), shards, 100);
+            OrderWorkload under_test(*oracle, seed, budget);
+            oracle->run(maxTick);
+
+            const auto reference = makeClusterFabric(
+                engineOf(ClusterEngine::Sequential, 1), shards, 100);
+            OrderWorkload expected(*reference, seed, budget);
+            stepInReferenceOrder(*reference, maxTick);
+
+            const std::string what = std::to_string(shards + 1) +
+                                     " LPs, seed " +
+                                     std::to_string(seed);
+            EXPECT_GT(expected.log.size(), budget / 2) << what;
+            EXPECT_EQ(under_test.log, expected.log) << what;
+            EXPECT_EQ(lpClocks(*oracle), lpClocks(*reference)) << what;
+            EXPECT_EQ(oracle->pendingEvents(), 0u) << what;
+            EXPECT_GT(oracle->cancelledTotal(), 0u) << what;
+        }
+    }
+}
+
+TEST(SequentialOracle, RunLimitRunsEventsAtTheLimitAndKeepsLater)
+{
+    constexpr Tick limit = 500;
+    // Hand-built: events exactly at the limit run, later ones wait.
+    {
+        const auto fab = makeClusterFabric(
+            engineOf(ClusterEngine::Sequential, 1), 3, 100);
+        std::vector<unsigned> ran;
+        for (const auto &[lp, when] :
+             std::vector<std::pair<unsigned, Tick>>{
+                 {2, limit}, {1, limit + 1}, {0, limit}, {3, limit + 900}})
+            fab->lpQueue(lp).schedule(when,
+                                      [&ran, lp] { ran.push_back(lp); });
+        fab->run(limit);
+        EXPECT_EQ(ran, (std::vector<unsigned>{0, 2}));
+        EXPECT_EQ(fab->pendingEvents(), 2u);
+        EXPECT_EQ(fab->finalTick(), limit);
+        fab->run(maxTick);
+        EXPECT_EQ(ran, (std::vector<unsigned>{0, 2, 1, 3}));
+        EXPECT_EQ(fab->pendingEvents(), 0u);
+    }
+    // Random: stop at the limit, then resume to the end; both halves
+    // match the reference.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const auto oracle = makeClusterFabric(
+            engineOf(ClusterEngine::Sequential, 1), 6, 100);
+        OrderWorkload under_test(*oracle, seed, 4000);
+        const auto reference = makeClusterFabric(
+            engineOf(ClusterEngine::Sequential, 1), 6, 100);
+        OrderWorkload expected(*reference, seed, 4000);
+
+        oracle->run(limit);
+        stepInReferenceOrder(*reference, limit);
+        EXPECT_EQ(under_test.log, expected.log) << "seed " << seed;
+        EXPECT_EQ(lpClocks(*oracle), lpClocks(*reference));
+        EXPECT_GT(oracle->pendingEvents(), 0u) << "seed " << seed;
+        EXPECT_EQ(oracle->pendingEvents(), reference->pendingEvents());
+        EXPECT_LE(oracle->finalTick(), limit);
+
+        oracle->run(maxTick);
+        stepInReferenceOrder(*reference, maxTick);
+        EXPECT_EQ(under_test.log, expected.log) << "seed " << seed;
+        EXPECT_EQ(lpClocks(*oracle), lpClocks(*reference));
+        EXPECT_EQ(oracle->pendingEvents(), 0u);
+    }
+}
+
+// ---- phase-B failures ---------------------------------------------
+
+TEST(WindowedFabric, ShardExceptionsSurfaceLowestLpFirst)
+{
+    // Shard LPs 2 and 5 fail in the same window; whichever worker
+    // claims them, the run must report LP 2, as the inline path does.
+    for (const unsigned workers : {1u, 2u, 4u}) {
+        for (int attempt = 0; attempt < 20; ++attempt) {
+            const auto fab = makeClusterFabric(
+                engineOf(ClusterEngine::Parallel, workers), 6, 100);
+            for (unsigned lp = 1; lp <= 6; ++lp) {
+                fab->lpQueue(lp).schedule(10, [lp] {
+                    if (lp == 2 || lp == 5)
+                        throw std::runtime_error("lp " +
+                                                 std::to_string(lp));
+                });
+            }
+            std::string what;
+            try {
+                fab->run(maxTick);
+            } catch (const std::runtime_error &e) {
+                what = e.what();
+            }
+            EXPECT_EQ(what, "lp 2") << workers << " workers, attempt "
+                                    << attempt;
+        }
     }
 }
 

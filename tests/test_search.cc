@@ -375,6 +375,11 @@ TEST(EvalCache, JsonRoundTripPreservesOutcomes)
     std::remove(path.c_str());
 }
 
+/** Every outcome field of a well-formed cache entry. */
+constexpr const char *kOutcome =
+    "\"p50_ms\": 1, \"p95_ms\": 2, \"p99_ms\": 3, \"energy_j\": 0.5, "
+    "\"drop_rate\": 0.25, \"availability\": 0.75";
+
 TEST(EvalCacheDeath, MalformedKeyNamesFileAndEntry)
 {
     // A key that does not parse must not alias another config's
@@ -384,14 +389,73 @@ TEST(EvalCacheDeath, MalformedKeyNamesFileAndEntry)
     {
         std::ofstream out(path);
         out << "{\"version\": 1, \"entries\": [\n"
-               "  {\"fp\": \"0x00000000deadbeef\", \"p50_ms\": 1},\n"
-               "  {\"fp\": \"zz\", \"p50_ms\": 2}\n"
+               "  {\"fp\": \"0x00000000deadbeef\", " << kOutcome
+            << "},\n"
+               "  {\"fp\": \"zz\", " << kOutcome << "}\n"
                "]}\n";
     }
     EvalCache cache;
     EXPECT_EXIT(cache.loadJson(path), ::testing::ExitedWithCode(1),
                 "krisp_eval_cache_bad_key\\.json entries\\[1\\]\\.fp "
                 "value 'zz'");
+    std::remove(path.c_str());
+}
+
+/**
+ * Write a two-entry cache whose second entry carries @p outcome in
+ * place of a well-formed one; @return the file's path.
+ */
+std::string
+writeCacheWithOutcome(const std::string &name, const std::string &outcome)
+{
+    const std::string path = testing::TempDir() + name;
+    std::ofstream out(path);
+    out << "{\"version\": 1, \"entries\": [\n"
+           "  {\"fp\": \"0x00000000deadbeef\", " << kOutcome << "},\n"
+           "  {\"fp\": \"0x0000000000000042\", " << outcome << "}\n"
+           "]}\n";
+    return path;
+}
+
+TEST(EvalCacheDeath, StringOutcomeFieldNamesFileEntryAndField)
+{
+    // "abc" used to load as 0 ms and count as a warm, trusted hit.
+    const std::string path = writeCacheWithOutcome(
+        "krisp_eval_cache_string_field.json",
+        "\"p50_ms\": 1, \"p95_ms\": 2, \"p99_ms\": \"abc\", "
+        "\"energy_j\": 0.5, \"drop_rate\": 0, \"availability\": 1");
+    EvalCache cache;
+    EXPECT_EXIT(cache.loadJson(path), ::testing::ExitedWithCode(1),
+                "krisp_eval_cache_string_field\\.json "
+                "entries\\[1\\]\\.p99_ms is not a finite number");
+    std::remove(path.c_str());
+}
+
+TEST(EvalCacheDeath, MissingOutcomeFieldNamesFileEntryAndField)
+{
+    const std::string path = writeCacheWithOutcome(
+        "krisp_eval_cache_missing_field.json",
+        "\"p50_ms\": 1, \"p95_ms\": 2, \"p99_ms\": 3, "
+        "\"drop_rate\": 0, \"availability\": 1");
+    EvalCache cache;
+    EXPECT_EXIT(cache.loadJson(path), ::testing::ExitedWithCode(1),
+                "krisp_eval_cache_missing_field\\.json "
+                "entries\\[1\\]\\.energy_j is missing");
+    std::remove(path.c_str());
+}
+
+TEST(EvalCacheDeath, AvailabilityAboveOneNamesFileEntryAndField)
+{
+    // Availability is completed / (completed + dropped + failed).
+    const std::string path = writeCacheWithOutcome(
+        "krisp_eval_cache_ratio_field.json",
+        "\"p50_ms\": 1, \"p95_ms\": 2, \"p99_ms\": 3, "
+        "\"energy_j\": 0.5, \"drop_rate\": 0, \"availability\": 1.5");
+    EvalCache cache;
+    EXPECT_EXIT(cache.loadJson(path), ::testing::ExitedWithCode(1),
+                "krisp_eval_cache_ratio_field\\.json "
+                "entries\\[1\\]\\.availability value 1\\.5 is a "
+                "ratio above 1");
     std::remove(path.c_str());
 }
 
