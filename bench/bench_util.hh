@@ -60,7 +60,7 @@
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "obs/metrics.hh"
-#include "server/experiment.hh"
+#include "harness/experiment.hh"
 
 extern char **environ;
 

@@ -17,7 +17,7 @@
 
 #include "bench/bench_util.hh"
 #include "common/table.hh"
-#include "harness/parallel_runner.hh"
+#include "harness/worker_pool.hh"
 #include "obs/obs.hh"
 #include "server/inference_server.hh"
 
@@ -50,31 +50,31 @@ main(int argc, char **argv)
     if (const auto rate = bench::env::real("KRISP_FAULT_RATE"))
         rates = {*rate};
 
-    // One island per fault rate; runAll returns outcomes in spec
-    // order, so the table below is identical for any job count.
-    std::vector<harness::RunSpec> sweep;
-    for (const double rate : rates) {
-        ServerConfig cfg = base;
-        cfg.faults = FaultPlan::uniform(rate);
-        // Hangs at the sweep rate stall entire workers for the full
-        // watchdog budget; keep them an order rarer so the sweep
-        // shows degradation rather than a cliff.
-        cfg.faults.kernelHangProb = rate / 10.0;
-        cfg.faults.watchdogTimeoutNs = ticksFromMs(40.0);
-        sweep.push_back(harness::RunSpec{
-            std::to_string(rate), std::move(cfg),
-            /*collectMetrics=*/true, /*collectTrace=*/false, {}});
-    }
-    std::vector<harness::RunOutcome> outcomes = harness::runAll(
-        std::move(sweep), bench::jobs(argc, argv));
+    // One island per fault rate, each with its own metrics-only
+    // context; results land in rate order, so the table below is
+    // identical for any job count.
+    std::vector<ServerResult> results(rates.size());
+    std::vector<ObsContext> obs(rates.size());
+    harness::WorkerPool(bench::jobs(argc, argv))
+        .forEachIndex(rates.size(), [&](std::size_t i) {
+            ServerConfig cfg = base;
+            cfg.faults = FaultPlan::uniform(rates[i]);
+            // Hangs at the sweep rate stall entire workers for the
+            // full watchdog budget; keep them an order rarer so the
+            // sweep shows degradation rather than a cliff.
+            cfg.faults.kernelHangProb = rates[i] / 10.0;
+            cfg.faults.watchdogTimeoutNs = ticksFromMs(40.0);
+            obs[i].trace.setEnabled(false);
+            cfg.obs = &obs[i];
+            results[i] = InferenceServer(cfg).run();
+        });
 
     TextTable table({"fault_rate", "completed", "ddl_miss", "failed",
                      "availability", "p95_ms", "rps", "wd_kills",
                      "fallbacks", "timed_out"});
     for (std::size_t i = 0; i < rates.size(); ++i) {
         const double rate = rates[i];
-        const ServerResult &r = outcomes[i].result;
-        ObsContext &obs = *outcomes[i].obs;
+        const ServerResult &r = results[i];
 
         const double attempts = static_cast<double>(
             r.completed + r.deadlineMisses + r.failedRequests);
@@ -82,9 +82,9 @@ main(int argc, char **argv)
             attempts > 0 ? static_cast<double>(r.completed) / attempts
                          : 0.0;
         const double wd_kills =
-            obs.metrics.gauge("gpu.watchdog_kills").value();
+            obs[i].metrics.gauge("gpu.watchdog_kills").value();
         const double fallbacks = static_cast<double>(
-            obs.metrics.counter("krisp.reconfig_fallbacks").value());
+            obs[i].metrics.counter("krisp.reconfig_fallbacks").value());
 
         const std::string prefix =
             "rate" + std::to_string(static_cast<int>(rate * 1000));

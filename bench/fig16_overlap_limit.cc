@@ -19,7 +19,7 @@
 using namespace krisp;
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::BenchReport report(
         "fig16_overlap_limit",
@@ -32,6 +32,17 @@ main()
                                              "shufflenet"};
     std::vector<unsigned> limits = {0,  4,  8,  12, 15, 16, 20, 24,
                                     28, 31, 36, 40, 45, 46, 52, 60};
+
+    // Run every cell up front on the worker pool; the table loop
+    // below replays cached results, so the output is identical for
+    // any --jobs / KRISP_JOBS value.
+    std::vector<EvalSpec> specs;
+    for (const unsigned limit : limits)
+        for (const auto &m : models)
+            for (const unsigned w : {2u, 4u})
+                specs.push_back(
+                    {m, PartitionPolicy::KrispIsolated, w, limit});
+    ctx.prefetch(specs, bench::jobs(argc, argv));
 
     TextTable table({"overlap_limit", "norm_rps_x2", "norm_rps_x4"});
     for (const unsigned limit : limits) {

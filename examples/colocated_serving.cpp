@@ -12,7 +12,7 @@
 
 #include "common/parse.hh"
 #include "common/table.hh"
-#include "server/experiment.hh"
+#include "harness/experiment.hh"
 
 using namespace krisp;
 

@@ -132,6 +132,8 @@ struct ClusterWorker
 /** Per-shard serving state (frontend queue + workers + health). */
 struct ShardState
 {
+    /** Position in ClusterState::shards; the shard's trace track. */
+    unsigned index = 0;
     /** Context the device plane reports into; outlives the stack. */
     std::unique_ptr<ObsContext> obs;
     std::unique_ptr<GpuShard> shard;
@@ -337,16 +339,6 @@ struct ClusterState
         return cfg.models[idx];
     }
 
-    /** Trace track id for shard-frontend events. */
-    WorkerId
-    shardTid(const ShardState &ss) const
-    {
-        for (unsigned i = 0; i < shards.size(); ++i)
-            if (shards[i].get() == &ss)
-                return static_cast<WorkerId>(i);
-        return static_cast<WorkerId>(cfg.numShards);
-    }
-
     std::size_t
     classIdx(PriorityClass cls) const
     {
@@ -364,12 +356,11 @@ struct ClusterState
     }
 
     void
-    terminalFail(const Request &r)
+    terminalFail()
     {
         panic_if(live == 0, "failure with no live requests");
         --live;
         ++res.failed;
-        static_cast<void>(r);
     }
 
     void
@@ -418,9 +409,7 @@ struct ClusterState
             ++dropped;
         if (droppedMetric != nullptr)
             droppedMetric->inc();
-        recorder.drop(ss != nullptr
-                          ? shardTid(*ss)
-                          : static_cast<WorkerId>(cfg.numShards),
+        recorder.drop(ss != nullptr ? ss->index : cfg.numShards,
                       modelName(r.model), r.id, reason, ctl().now());
         terminalDrop();
     }
@@ -445,8 +434,7 @@ struct ClusterState
      * on the floor.
      */
     void
-    handleLostRequest(Request r, unsigned failed_shard,
-                      const char *why)
+    handleLostRequest(Request r, unsigned failed_shard)
     {
         const ResilienceConfig &rc = resilience->config();
         if (rc.enabled) {
@@ -480,26 +468,23 @@ struct ClusterState
                 // attempt, so parking is bounded by maxAttempts.
                 const Request parked = r;
                 ctl().scheduleIn(rc.rerouteBackoffNs, [this, parked] {
-                    handleLostRequest(parked, cfg.numShards,
-                                      "reroute");
+                    handleLostRequest(parked, cfg.numShards);
                 });
                 return;
             } else {
                 ++res.retriesDenied;
             }
         }
-        static_cast<void>(why);
-        terminalFail(r);
+        terminalFail();
     }
 
     /** A copy of @p r was lost (watchdog / crash / deadline). */
     void
-    loseRequest(const Request &r, unsigned failed_shard,
-                const char *why)
+    loseRequest(const Request &r, unsigned failed_shard)
     {
         if (!copyLost(r))
             return;
-        handleLostRequest(r, failed_shard, why);
+        handleLostRequest(r, failed_shard);
     }
 
     /** Queue @p r on shard @p target; false = dropped (full). */
@@ -513,11 +498,11 @@ struct ClusterState
         }
         ss.pending.push_back(r);
         router->addOutstanding(target, +1);
-        recorder.enqueue(shardTid(ss), modelName(r.model), r.id);
+        recorder.enqueue(ss.index, modelName(r.model), r.id);
         // Flow arrow: router decision -> shard frontend (ends at
         // finishBatch on the same shard track).
         KRISP_TRACE_EVENT(trace, requestFlowStep(r.id, tracePidServer,
-                                                 shardTid(ss)));
+                                                 ss.index));
         return true;
     }
 
@@ -597,7 +582,7 @@ struct ClusterState
                     // Nowhere to go (crash + drain overlap): the
                     // retry path parks and re-routes with backoff
                     // instead of bouncing the request.
-                    loseRequest(r, cfg.numShards, "unrouted");
+                    loseRequest(r, cfg.numShards);
                 } else {
                     dropRequest(nullptr, r, "unrouted");
                 }
@@ -673,7 +658,7 @@ struct ClusterState
             return;
         for (auto it = ss.pending.begin(); it != ss.pending.end();) {
             if (it->hedge && it->hedge->resolved) {
-                router->addOutstanding(shardTid(ss), -1);
+                router->addOutstanding(ss.index, -1);
                 it = ss.pending.erase(it);
             } else {
                 ++it;
@@ -691,7 +676,7 @@ struct ClusterState
                ss.pending.front().deadlineAt <= ctl().now()) {
             const Request r = ss.pending.front();
             ss.pending.pop_front();
-            const unsigned idx = shardTid(ss);
+            const unsigned idx = ss.index;
             router->addOutstanding(idx, -1);
             if (measuring && r.arrival >= measureStart)
                 ++shedDeadline;
@@ -699,7 +684,7 @@ struct ClusterState
                 shedMetric->inc();
             recorder.drop(idx, modelName(r.model), r.id, "deadline",
                           ctl().now());
-            loseRequest(r, idx, "deadline");
+            loseRequest(r, idx);
         }
     }
 
@@ -783,7 +768,7 @@ struct ClusterState
         const auto *seq_ptr = &ss.shard->zoo().kernels(
             modelName(model),
             static_cast<unsigned>(batch->reqs.size()));
-        const unsigned idx = shardTid(ss);
+        const unsigned idx = ss.index;
         const unsigned wid = w.id;
         GpuShard *stack = ss.shard.get();
         std::shared_ptr<LaunchGate> gate = w.gate;
@@ -850,7 +835,7 @@ struct ClusterState
     watchdogFire(ShardState &ss, ClusterWorker &w,
                  const std::vector<Request> &batch)
     {
-        const unsigned idx = shardTid(ss);
+        const unsigned idx = ss.index;
         w.watchdogEv = invalidEventId;
         abandonBatch(w);
         ++failedBatches;
@@ -866,7 +851,7 @@ struct ClusterState
         w.inFlight.reset();
         resilience->noteShardFailure(idx, ctl().now());
         for (const Request &r : batch)
-            loseRequest(r, idx, "watchdog");
+            loseRequest(r, idx);
         checkHealth(ss);
         if (!ss.draining && !ss.down)
             maybeDispatch(ss);
@@ -891,7 +876,7 @@ struct ClusterState
     {
         disarmWatchdog(w);
         const Tick t = ctl().now();
-        const unsigned idx = shardTid(ss);
+        const unsigned idx = ss.index;
         router->addOutstanding(
             idx, -static_cast<std::int64_t>(batch.reqs.size()));
         for (const Request &r : batch.reqs) {
@@ -960,7 +945,7 @@ struct ClusterState
     void
     drainShard(ShardState &ss, const char *why)
     {
-        const unsigned idx = shardTid(ss);
+        const unsigned idx = ss.index;
         ss.draining = true;
         router->setHealthy(idx, false);
         ++failovers;
@@ -985,7 +970,7 @@ struct ClusterState
                 router->route(modelName(r.model), r.id);
             if (target < 0) {
                 if (resilience->config().enabled)
-                    loseRequest(r, idx, "unrouted");
+                    loseRequest(r, idx);
                 else
                     dropRequest(&ss, r, "unrouted");
                 continue;
@@ -1009,7 +994,7 @@ struct ClusterState
         ss.fallbackBaseline = ss.lastFallbacksSeen;
         ss.draining = false;
         ss.graceUntil = ctl().now() + cfg.readmitGraceNs;
-        const unsigned idx = shardTid(ss);
+        const unsigned idx = ss.index;
         router->setHealthy(idx, true);
         ++readmits;
         KRISP_TRACE_EVENT(trace, recovery("shard_readmit",
@@ -1057,7 +1042,7 @@ struct ClusterState
     void
     crashShard(ShardState &ss)
     {
-        const unsigned idx = shardTid(ss);
+        const unsigned idx = ss.index;
         ++res.crashes;
         warn("shard ", idx, " crashed: ", ss.pending.size(),
              " queued and in-flight work lost");
@@ -1101,7 +1086,7 @@ struct ClusterState
         graveyard.push_back(
             DeadShard{idx, std::move(ss.obs), std::move(ss.shard)});
         for (const Request &r : lost)
-            loseRequest(r, idx, "crash");
+            loseRequest(r, idx);
 
         if (!stopped) {
             const Tick restart_at =
@@ -1111,7 +1096,7 @@ struct ClusterState
             ctl().schedule(restart_at + readmitLagNs(),
                            [this, idx] {
                                if (!stopped)
-                                   restartShard(*shards[idx], idx);
+                                   restartShard(*shards[idx]);
                            });
         }
     }
@@ -1132,8 +1117,9 @@ struct ClusterState
 
     /** Control-plane half of a warm restart: re-admit the shard. */
     void
-    restartShard(ShardState &ss, unsigned idx)
+    restartShard(ShardState &ss)
     {
+        const unsigned idx = ss.index;
         panic_if(ss.shard == nullptr,
                  "re-admitting shard ", idx,
                  " before its stack rebuild");
@@ -1322,6 +1308,7 @@ ClusterServer::run()
         st.shardCfgs.push_back(shard_cfg);
 
         auto ss = std::make_unique<ShardState>();
+        ss->index = s;
         // Each shard stack lives on its own device-plane queue.
         ss->obs = makeMergeChild(st.obs);
         shard_cfg.obs = ss->obs.get();

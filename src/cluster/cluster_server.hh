@@ -41,6 +41,13 @@
 namespace krisp
 {
 
+/**
+ * Layout revision of ClusterConfig::fingerprint(). Persisted
+ * fingerprints (the placement search's eval cache) record it, so a
+ * snapshot of another layout is recognised and ignored.
+ */
+inline constexpr std::uint64_t fingerprintVersion = 2;
+
 /** Cluster experiment configuration. */
 struct ClusterConfig
 {

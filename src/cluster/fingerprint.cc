@@ -36,14 +36,6 @@
 namespace krisp
 {
 
-namespace
-{
-
-/** Distinguishes fingerprint layout revisions in persisted caches. */
-constexpr std::uint64_t fingerprintVersion = 2;
-
-} // namespace
-
 std::uint64_t
 ClusterConfig::fingerprint() const
 {

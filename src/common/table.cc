@@ -89,24 +89,6 @@ TextTable::render() const
     return out.str();
 }
 
-std::string
-TextTable::renderCsv() const
-{
-    std::ostringstream out;
-    auto emit_row = [&](const std::vector<std::string> &cells) {
-        for (std::size_t c = 0; c < cells.size(); ++c) {
-            out << cells[c];
-            if (c + 1 < cells.size())
-                out << ',';
-        }
-        out << '\n';
-    };
-    emit_row(header_);
-    for (const auto &row : rows_)
-        emit_row(row);
-    return out.str();
-}
-
 void
 TextTable::print(const std::string &title) const
 {

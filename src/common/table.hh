@@ -1,7 +1,7 @@
 /**
  * @file
  * Plain-text table formatter used by the benchmark harnesses to print
- * paper-style tables/series to stdout (and optionally CSV to a file).
+ * paper-style tables/series to stdout.
  */
 
 #ifndef KRISP_COMMON_TABLE_HH
@@ -47,9 +47,6 @@ class TextTable
 
     /** Render with aligned columns and a dashed header rule. */
     std::string render() const;
-
-    /** Render as comma-separated values (header + rows). */
-    std::string renderCsv() const;
 
     /** Print render() to stdout with a title line. */
     void print(const std::string &title) const;

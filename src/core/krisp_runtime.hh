@@ -153,7 +153,6 @@ class KrispRuntime
 
     /** Failure-handling policy for emulated-mode reconfig ioctls. */
     void setIoctlRetryPolicy(IoctlRetryPolicy policy);
-    const IoctlRetryPolicy &ioctlRetryPolicy() const { return retry_; }
 
     /**
      * Brownout degradation knob: clamp every right-size grant to at

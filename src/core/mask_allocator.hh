@@ -86,12 +86,9 @@ class MaskAllocator : public MaskAllocatorIface
      * kept for ablation.
      */
     void setBalancedGrants(bool balanced) { balanced_ = balanced; }
-    bool balancedGrants() const { return balanced_; }
 
     DistributionPolicy policy() const { return policy_; }
     unsigned overlapLimit() const { return overlap_limit_; }
-    void setOverlapLimit(unsigned limit) { overlap_limit_ = limit; }
-    void setPolicy(DistributionPolicy policy) { policy_ = policy; }
 
     /**
      * Released-mask cache (default off): noteReleased() parks the

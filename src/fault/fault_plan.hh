@@ -25,40 +25,6 @@
 namespace krisp
 {
 
-/**
- * The failure taxonomy one FaultPlan can describe. Sites (a)-(d) are
- * injected by the FaultInjector at component level; shardCrash is a
- * cluster-level event executed by the ClusterServer itself (a whole
- * shard dies, in-flight batches are lost, CU masks and stream state
- * are invalidated, and a timed warm restart rebuilds the KRISP
- * stack).
- */
-enum class FaultKind : std::uint8_t
-{
-    kernelHang,      ///< site (a): dispatched kernel never retires
-    kernelSlow,      ///< site (a): dispatched kernel runs slower
-    ioctlReject,     ///< site (b): CU-mask ioctl rejected
-    ioctlDelay,      ///< site (b): CU-mask ioctl serviced late
-    signalLoss,      ///< site (c): completion decrement lost
-    preprocessStall, ///< site (d): worker preprocess stalls
-    shardCrash,      ///< site (e): whole shard dies + warm restart
-};
-
-inline const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::kernelHang: return "kernel_hang";
-      case FaultKind::kernelSlow: return "kernel_slow";
-      case FaultKind::ioctlReject: return "ioctl_reject";
-      case FaultKind::ioctlDelay: return "ioctl_delay";
-      case FaultKind::signalLoss: return "signal_loss";
-      case FaultKind::preprocessStall: return "preprocess_stall";
-      case FaultKind::shardCrash: return "shard_crash";
-    }
-    return "unknown";
-}
-
 /** One run's fault scenario + recovery budget. */
 struct FaultPlan
 {
@@ -93,13 +59,14 @@ struct FaultPlan
 
     // ---- site (e): whole-shard crashes (cluster layer) -----------
     /**
-     * Poisson rate of FaultKind::shardCrash events per shard, per
-     * simulated second. Crashes are not drawn by the FaultInjector:
-     * the ClusterServer draws crash gaps from a dedicated stream
-     * derived from this plan's forShard(i) seed, so the crash
-     * schedule of shard i depends only on (plan seed, i) — never on
-     * traffic, other shards, or the shard count. Ignored outside the
-     * cluster layer.
+     * Poisson rate of shard crashes per shard, per simulated second:
+     * the whole shard dies, its in-flight batches are lost and its
+     * CU masks and stream state are invalidated. Crashes are not
+     * drawn by the FaultInjector: the ClusterServer draws crash gaps
+     * from a dedicated stream derived from this plan's forShard(i)
+     * seed, so the crash schedule of shard i depends only on (plan
+     * seed, i) — never on traffic, other shards, or the shard count.
+     * Ignored outside the cluster layer.
      */
     double shardCrashRatePerSec = 0;
     /**
@@ -120,7 +87,7 @@ struct FaultPlan
 
     /**
      * True if this plan can inject anything through the
-     * FaultInjector. shardCrash is deliberately excluded: crashes
+     * FaultInjector. Shard crashes are deliberately excluded: they
      * are executed by the cluster layer without an injector, so a
      * crash-only plan must not force per-shard injector construction
      * (which would perturb zero-fault byte-identity).

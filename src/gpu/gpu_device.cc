@@ -230,12 +230,6 @@ GpuDevice::publishMetrics(MetricsRegistry &metrics) const
     }
 }
 
-unsigned
-GpuDevice::runningKernels() const
-{
-    return static_cast<unsigned>(running_.size());
-}
-
 bool
 GpuDevice::idle() const
 {

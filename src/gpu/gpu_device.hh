@@ -161,9 +161,6 @@ class GpuDevice
     const PowerModel &power() const { return power_; }
     const GpuDeviceStats &stats() const { return stats_; }
 
-    /** Kernels currently executing (fluid jobs). */
-    unsigned runningKernels() const;
-
     /** True if no queue has packets and nothing is executing. */
     bool idle() const;
 
@@ -227,7 +224,6 @@ class GpuDevice
     void recomputeRates(FluidScheduler &fs);
     /** contentionPenalty^k, tabulated as residency counts appear. */
     double contentionPow(unsigned k);
-    void updatePower();
     /** Adopt @p rk as running job @p job (residency map updated). */
     void adoptRunning(JobId job, RunningKernel rk);
     /** Remove job @p job from the running set (residency updated). */

@@ -11,9 +11,6 @@
 #ifndef KRISP_KERN_ARCH_PARAMS_HH
 #define KRISP_KERN_ARCH_PARAMS_HH
 
-#include <algorithm>
-#include <cstdint>
-
 namespace krisp
 {
 
@@ -26,8 +23,6 @@ struct ArchParams
     unsigned cusPerSe = 15;
     /** Maximum resident threads per CU. */
     unsigned threadsPerCu = 2560;
-    /** Maximum resident workgroups per CU (slot limit). */
-    unsigned maxWgSlotsPerCu = 16;
 
     /** Peak fp32 throughput of one CU, in FLOP per ns. */
     double cuFlopsPerNs = 223.0;
@@ -41,17 +36,6 @@ struct ArchParams
     double perCuIssueBytesPerNs = 34.0;
 
     unsigned totalCus() const { return numSe * cusPerSe; }
-
-    /** Concurrent workgroup slots a CU offers launches of @p wg_threads. */
-    unsigned
-    wgSlotsPerCu(unsigned wg_threads) const
-    {
-        if (wg_threads == 0)
-            return maxWgSlotsPerCu;
-        const unsigned by_threads =
-            std::max(1u, threadsPerCu / wg_threads);
-        return std::clamp(by_threads, 1u, maxWgSlotsPerCu);
-    }
 
     /** The MI50 configuration used throughout the paper. */
     static ArchParams

@@ -634,35 +634,4 @@ TraceSink::writeChromeJsonFile(const std::string &path) const
     return out.good();
 }
 
-void
-TraceSink::writeCsv(std::ostream &os) const
-{
-    os << "seq,ts_ns,dur_ns,kind,phase,pid,tid,name,args\n";
-    for (const auto &rec : records_) {
-        os << rec.seq << ',' << rec.ts << ',' << rec.dur << ','
-           << traceEventKindName(rec.kind) << ',' << rec.phase << ','
-           << rec.pid << ',' << rec.tid << ',' << rec.name << ',';
-        bool first = true;
-        for (const auto &arg : rec.args) {
-            if (!first)
-                os << '|';
-            first = false;
-            os << arg.key << '=' << arg.json;
-        }
-        os << '\n';
-    }
-}
-
-bool
-TraceSink::writeCsvFile(const std::string &path) const
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-        warn("cannot open trace CSV file ", path);
-        return false;
-    }
-    writeCsv(out);
-    return out.good();
-}
-
 } // namespace krisp

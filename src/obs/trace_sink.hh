@@ -6,7 +6,7 @@
  * CU-mask reconfigurations, barrier-packet injection, serialised
  * ioctls, per-SE workgroup dispatch, request lifecycle — stamped with
  * simulated time, and exports them as Chrome trace-event JSON (loads
- * directly in Perfetto / chrome://tracing) and as a flat CSV.
+ * directly in Perfetto / chrome://tracing).
  *
  * Cost model: every record helper is guarded by enabled(); callers
  * additionally wrap call sites in KRISP_TRACE_EVENT so a disabled
@@ -232,10 +232,6 @@ class TraceSink
     void writeChromeJson(std::ostream &os) const;
     std::string toChromeJson() const;
     bool writeChromeJsonFile(const std::string &path) const;
-
-    /** Flat CSV: seq,ts_ns,dur_ns,kind,phase,pid,tid,name,args. */
-    void writeCsv(std::ostream &os) const;
-    bool writeCsvFile(const std::string &path) const;
 
   private:
     Tick now() const { return clock_ != nullptr ? clock_->now() : 0; }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "cluster/cluster_server.hh"
 #include "common/fnv.hh"
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -61,6 +62,18 @@ EvalCache::loadJson(const std::string &path)
     std::string error;
     if (!json::parseFile(path, root, error))
         return false;
+    // Keys of another fingerprint layout name no config this build
+    // asks for; loading them would only carry dead entries along.
+    const json::Value *layout = root.find("fingerprint_layout");
+    const bool numbered = layout != nullptr && layout->isNumber();
+    if (!numbered ||
+        layout->num != static_cast<double>(fingerprintVersion)) {
+        warn("eval cache ", path, ": fingerprint layout ",
+             numbered ? detail::concat(layout->num) : "none",
+             ", this build's is ", fingerprintVersion,
+             "; ignoring its entries");
+        return false;
+    }
     const json::Value *entries = root.find("entries");
     if (entries == nullptr || !entries->isArray()) {
         warn("eval cache ", path, ": no entries array; ignoring");
@@ -116,7 +129,8 @@ EvalCache::saveJson(const std::string &path) const
         warn("cannot write eval cache: ", path);
         return;
     }
-    out << "{\n  \"version\": 1,\n  \"entries\": [";
+    out << "{\n  \"version\": 1,\n  \"fingerprint_layout\": "
+        << fingerprintVersion << ",\n  \"entries\": [";
     bool first = true;
     // std::map iterates fingerprints ascending: the snapshot is
     // byte-stable for a given entry set regardless of insert order.

@@ -74,7 +74,10 @@ class EvalCache
                             const std::function<SimOutcome()> &compute);
 
     /**
-     * Load a persisted snapshot; false if absent/unreadable. An entry
+     * Load a persisted snapshot; false if absent or unreadable, and
+     * false with a warning if it records another fingerprint layout
+     * than fingerprintVersion, or none: its entries are not loaded,
+     * so a later saveJson() does not carry them along. An entry
      * whose "fp" key is not a 0x-hex or decimal 64-bit integer is a
      * fatal error naming the file and the entry index.
      */

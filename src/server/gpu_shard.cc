@@ -108,12 +108,6 @@ GpuShard::reconfigFallbacks() const
                         : 0;
 }
 
-std::uint64_t
-GpuShard::watchdogKills() const
-{
-    return device_->stats().watchdogKills;
-}
-
 void
 GpuShard::setGrantCapCus(unsigned cap)
 {

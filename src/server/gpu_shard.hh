@@ -106,9 +106,6 @@ class GpuShard
      */
     std::uint64_t reconfigFallbacks() const;
 
-    /** Hung kernels force-retired by this shard's GPU watchdog. */
-    std::uint64_t watchdogKills() const;
-
     /**
      * Brownout degradation: clamp right-size grants to @p cap CUs
      * (0 = uncapped). No-op for static partition policies.

@@ -294,13 +294,6 @@ TEST(TextTable, RendersAlignedColumns)
     EXPECT_NE(out.find("-----"), std::string::npos);
 }
 
-TEST(TextTable, CsvOutput)
-{
-    TextTable t({"a", "b"});
-    t.row().cell(1).cell(2);
-    EXPECT_EQ(t.renderCsv(), "a,b\n1,2\n");
-}
-
 TEST(TextTable, IntegerOverloads)
 {
     TextTable t({"x"});

@@ -2,9 +2,10 @@
  * @file
  * Tests for the parallel experiment harness: worker pool semantics
  * (ordering, exception propagation) and the determinism guarantee —
- * merged results and per-run artifacts are identical for any thread
- * count — plus the benches' environment edge (bench_util.hh), which
- * resolves the job count and checks every KRISP_* variable.
+ * ExperimentContext results filled on the pool are identical to a
+ * sequential run for any thread count — plus the benches'
+ * environment edge (bench_util.hh), which resolves the job count and
+ * checks every KRISP_* variable.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +18,8 @@
 #include <vector>
 
 #include "bench/bench_util.hh"
-#include "harness/parallel_runner.hh"
+#include "harness/experiment.hh"
 #include "harness/worker_pool.hh"
-#include "server/experiment.hh"
 
 namespace krisp
 {
@@ -187,141 +187,107 @@ TEST(BenchEdgeDeath, MalformedValuesExitNamingTheirOrigin)
     }
 }
 
-// ---- determinism: thread-count invariance -----------------------
+// ---- ExperimentContext: one cache, filled on the pool -----------
 
 ServerConfig
-tinyConfig(const std::string &model, PartitionPolicy policy,
-           unsigned workers)
+tinyBase()
 {
-    ServerConfig cfg;
-    cfg.workerModels.assign(workers, model);
-    cfg.batch = 8;
-    cfg.policy = policy;
-    cfg.warmupRequests = 1;
-    cfg.measuredRequests = 2;
-    return cfg;
-}
-
-std::vector<harness::RunSpec>
-tinySweep()
-{
-    std::vector<harness::RunSpec> specs;
-    for (const char *model : {"squeezenet", "alexnet"}) {
-        for (const PartitionPolicy policy :
-             {PartitionPolicy::MpsDefault,
-              PartitionPolicy::KrispIsolated}) {
-            for (const unsigned w : {1u, 2u}) {
-                specs.push_back(harness::RunSpec{
-                    std::string(model) + "/" +
-                        std::to_string(static_cast<int>(policy)) +
-                        "/x" + std::to_string(w),
-                    tinyConfig(model, policy, w),
-                    /*collectMetrics=*/true, /*collectTrace=*/true,
-                    {}});
-            }
-        }
-    }
-    return specs;
-}
-
-TEST(ParallelRunner, ThreadCountInvariance)
-{
-    // The reference: the whole sweep run strictly sequentially.
-    std::vector<harness::RunOutcome> ref =
-        harness::runAll(tinySweep(), 1);
-
-    for (const unsigned jobs : {2u, 8u}) {
-        std::vector<harness::RunOutcome> got =
-            harness::runAll(tinySweep(), jobs);
-        ASSERT_EQ(got.size(), ref.size());
-        for (std::size_t i = 0; i < ref.size(); ++i) {
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) + " spec " +
-                         ref[i].tag);
-            EXPECT_EQ(got[i].tag, ref[i].tag);
-            // Simulated-time results are exactly reproducible, so
-            // compare bitwise, not approximately.
-            EXPECT_EQ(got[i].result.totalRps, ref[i].result.totalRps);
-            EXPECT_EQ(got[i].result.maxP95Ms, ref[i].result.maxP95Ms);
-            EXPECT_EQ(got[i].result.energyPerInferenceJ,
-                      ref[i].result.energyPerInferenceJ);
-            EXPECT_EQ(got[i].result.completed, ref[i].result.completed);
-            ASSERT_TRUE(got[i].obs != nullptr);
-            ASSERT_TRUE(ref[i].obs != nullptr);
-            // Byte-identical artifacts: metrics snapshot and trace.
-            EXPECT_EQ(got[i].obs->metrics.toJson(),
-                      ref[i].obs->metrics.toJson());
-            EXPECT_EQ(got[i].obs->trace.toChromeJson(),
-                      ref[i].obs->trace.toChromeJson());
-        }
-    }
-}
-
-TEST(ParallelRunner, TraceFilesAreWrittenPerRun)
-{
-    const std::string dir = ::testing::TempDir();
-    std::vector<harness::RunSpec> specs;
-    specs.push_back(harness::RunSpec{
-        "a", tinyConfig("squeezenet", PartitionPolicy::MpsDefault, 1),
-        false, false, dir + "harness_a.trace.json"});
-    specs.push_back(harness::RunSpec{
-        "b", tinyConfig("squeezenet", PartitionPolicy::MpsDefault, 1),
-        false, false, dir + "harness_b.trace.json"});
-    std::vector<harness::RunOutcome> out =
-        harness::runAll(std::move(specs), 2);
-    ASSERT_EQ(out.size(), 2u);
-    for (const auto &o : out) {
-        ASSERT_TRUE(o.obs != nullptr);
-        EXPECT_GT(o.obs->trace.size(), 0u);
-    }
-    // Identical configs -> identical serialised traces.
-    EXPECT_EQ(out[0].obs->trace.toChromeJson(),
-              out[1].obs->trace.toChromeJson());
-}
-
-TEST(ParallelRunner, MetricsOnlySpecDisablesTrace)
-{
-    std::vector<harness::RunSpec> specs;
-    specs.push_back(harness::RunSpec{
-        "m", tinyConfig("squeezenet", PartitionPolicy::MpsDefault, 1),
-        /*collectMetrics=*/true, /*collectTrace=*/false, {}});
-    std::vector<harness::RunOutcome> out =
-        harness::runAll(std::move(specs), 1);
-    ASSERT_EQ(out.size(), 1u);
-    ASSERT_TRUE(out[0].obs != nullptr);
-    EXPECT_EQ(out[0].obs->trace.size(), 0u);
-    EXPECT_GT(out[0].obs->metrics.gauge("sim.events_fired").value(),
-              0.0);
-}
-
-TEST(ParallelRunner, PrefetchMatchesSequentialEvaluate)
-{
-    // evaluate() after prefetch() replays cached parallel results;
-    // they must equal a never-prefetched sequential context bitwise.
     ServerConfig base;
     base.batch = 8;
     base.warmupRequests = 1;
     base.measuredRequests = 2;
+    return base;
+}
 
+void
+expectSamePoint(const EvalPoint &a, const EvalPoint &b)
+{
+    // Simulated-time results are exactly reproducible, so compare
+    // bitwise, not approximately.
+    EXPECT_EQ(a.totalRps, b.totalRps);
+    EXPECT_EQ(a.normalizedRps, b.normalizedRps);
+    EXPECT_EQ(a.p95Ms, b.p95Ms);
+    EXPECT_EQ(a.sloMs, b.sloMs);
+    EXPECT_EQ(a.energyPerInferenceJ, b.energyPerInferenceJ);
+    EXPECT_EQ(a.avgPowerW, b.avgPowerW);
+}
+
+TEST(ExperimentContext, PrefetchMatchesSequentialEvaluate)
+{
+    // evaluate() after prefetch() replays cached pooled results; for
+    // plain, overlap-limited and mixed-pair runs they must equal a
+    // never-prefetched sequential context bitwise, at any job count.
     std::vector<EvalSpec> specs;
-    for (const unsigned w : {1u, 2u})
-        specs.push_back(
-            {"squeezenet", PartitionPolicy::KrispIsolated, w, {}});
+    for (const char *model : {"squeezenet", "alexnet"})
+        for (const PartitionPolicy policy :
+             {PartitionPolicy::MpsDefault,
+              PartitionPolicy::KrispIsolated})
+            for (const unsigned w : {1u, 2u})
+                specs.push_back({model, policy, w, std::nullopt});
+    specs.push_back(
+        {"squeezenet", PartitionPolicy::KrispIsolated, 2, 8u});
+    const std::vector<std::pair<std::string, std::string>> pairs = {
+        {"squeezenet", "alexnet"}};
+    const std::vector<PartitionPolicy> pairPolicies = {
+        PartitionPolicy::MpsDefault, PartitionPolicy::KrispIsolated};
 
-    ExperimentContext seq(base);
-    ExperimentContext par(base);
-    par.prefetch(specs, 4);
+    ExperimentContext seq(tinyBase());
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        ExperimentContext par(tinyBase());
+        par.prefetch(specs, jobs);
+        par.prefetchMixedPairs(pairs, pairPolicies, jobs);
 
-    for (const EvalSpec &spec : specs) {
-        const EvalPoint a =
-            seq.evaluate(spec.model, spec.policy, spec.workers);
-        const EvalPoint b =
-            par.evaluate(spec.model, spec.policy, spec.workers);
-        EXPECT_EQ(a.totalRps, b.totalRps);
-        EXPECT_EQ(a.normalizedRps, b.normalizedRps);
-        EXPECT_EQ(a.p95Ms, b.p95Ms);
-        EXPECT_EQ(a.sloMs, b.sloMs);
-        EXPECT_EQ(a.energyPerInferenceJ, b.energyPerInferenceJ);
+        for (const EvalSpec &spec : specs) {
+            SCOPED_TRACE(spec.model + " x" +
+                         std::to_string(spec.workers));
+            if (spec.overlapLimit) {
+                expectSamePoint(
+                    seq.evaluateWithOverlap(spec.model, spec.policy,
+                                            spec.workers,
+                                            *spec.overlapLimit),
+                    par.evaluateWithOverlap(spec.model, spec.policy,
+                                            spec.workers,
+                                            *spec.overlapLimit));
+            } else {
+                expectSamePoint(
+                    seq.evaluate(spec.model, spec.policy,
+                                 spec.workers),
+                    par.evaluate(spec.model, spec.policy,
+                                 spec.workers));
+            }
+        }
+        for (const auto &[a, b] : pairs)
+            for (const PartitionPolicy policy : pairPolicies)
+                EXPECT_EQ(seq.evaluateMixedPair(a, b, policy),
+                          par.evaluateMixedPair(a, b, policy));
     }
+}
+
+TEST(ExperimentContext, MpsDefaultOneWorkerIsTheIsolatedRun)
+{
+    // One worker under MPS default is the isolated baseline's config,
+    // so evaluate() simulates it once for both: its trace holds the
+    // records of one run, as a lone isolated() run does.
+    ServerConfig base = tinyBase();
+    ObsContext isolatedObs;
+    base.obs = &isolatedObs;
+    ExperimentContext baseline(base);
+    const ServerResult &iso = baseline.isolated("squeezenet");
+    ASSERT_GT(isolatedObs.trace.size(), 0u);
+
+    ObsContext evalObs;
+    base.obs = &evalObs;
+    ExperimentContext ctx(base);
+    const EvalPoint p =
+        ctx.evaluate("squeezenet", PartitionPolicy::MpsDefault, 1);
+    EXPECT_EQ(evalObs.trace.size(), isolatedObs.trace.size());
+    EXPECT_EQ(p.totalRps, iso.totalRps);
+    EXPECT_EQ(p.p95Ms, iso.maxP95Ms);
+    EXPECT_EQ(p.energyPerInferenceJ, iso.energyPerInferenceJ);
+    EXPECT_EQ(p.normalizedRps, 1.0);
+    EXPECT_EQ(p.energyRatio, 1.0);
+    EXPECT_EQ(p.sloMs, 2.0 * iso.maxP95Ms);
 }
 
 } // namespace

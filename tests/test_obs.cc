@@ -11,7 +11,6 @@
 
 #include <cctype>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -332,23 +331,6 @@ TEST(TraceSinkDeath, SpanEndBeforeStart)
     EXPECT_DEATH(sink.span(TraceEventKind::KernelSpan, "k",
                            tracePidGpu, 0, /*start=*/10, /*end=*/5),
                  "ends before");
-}
-
-TEST(TraceSink, CsvHasHeaderAndOneLinePerRecord)
-{
-    TraceSink sink;
-    sink.rightSize("gemm", 12, "native");
-    sink.ioctlSubmit(1);
-    std::ostringstream os;
-    sink.writeCsv(os);
-    const std::string csv = os.str();
-    EXPECT_NE(csv.find("seq,ts_ns,dur_ns,kind,phase,pid,tid,name"),
-              std::string::npos);
-    std::size_t lines = 0;
-    for (const char c : csv)
-        if (c == '\n')
-            ++lines;
-    EXPECT_EQ(lines, 1 + sink.size());
 }
 
 // ---- Chrome JSON export -----------------------------------------

@@ -380,6 +380,53 @@ constexpr const char *kOutcome =
     "\"p50_ms\": 1, \"p95_ms\": 2, \"p99_ms\": 3, \"energy_j\": 0.5, "
     "\"drop_rate\": 0.25, \"availability\": 0.75";
 
+TEST(EvalCache, OtherLayoutSnapshotLoadsNothingAndIsNotSavedBack)
+{
+    // A snapshot of another fingerprint layout, or of none, names no
+    // config this build asks for: none of its entries may load or be
+    // written back beside the entries this run computes.
+    const std::string path =
+        testing::TempDir() + "krisp_eval_cache_layout.json";
+    for (const char *layout : {"\"fingerprint_layout\": 1, ", ""}) {
+        const bool none = *layout == '\0';
+        SCOPED_TRACE(none ? "no layout" : layout);
+        {
+            std::ofstream out(path);
+            out << "{\"version\": 1, " << layout
+                << "\"entries\": [\n"
+                   "  {\"fp\": \"0x00000000deadbeef\", "
+                << kOutcome << "}\n]}\n";
+        }
+        EvalCache stale;
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(stale.loadJson(path));
+        const std::string warning = testing::internal::GetCapturedStderr();
+        EXPECT_NE(warning.find(none ? "fingerprint layout none"
+                                    : "fingerprint layout 1"),
+                  std::string::npos)
+            << warning;
+        EXPECT_NE(warning.find("this build's is " +
+                               std::to_string(fingerprintVersion)),
+                  std::string::npos)
+            << warning;
+        EXPECT_EQ(stale.size(), 0u);
+        stale.getOrCompute(0x42ULL, [] { return SimOutcome{}; });
+        EXPECT_EQ(stale.stats().warmHits, 0u);
+        stale.saveJson(path);
+
+        EvalCache saved;
+        ASSERT_TRUE(saved.loadJson(path));
+        EXPECT_EQ(saved.size(), 1u);
+        bool computed = false;
+        saved.getOrCompute(0xdeadbeefULL, [&] {
+            computed = true;
+            return SimOutcome{};
+        });
+        EXPECT_TRUE(computed);
+    }
+    std::remove(path.c_str());
+}
+
 TEST(EvalCacheDeath, MalformedKeyNamesFileAndEntry)
 {
     // A key that does not parse must not alias another config's
@@ -388,7 +435,8 @@ TEST(EvalCacheDeath, MalformedKeyNamesFileAndEntry)
         testing::TempDir() + "krisp_eval_cache_bad_key.json";
     {
         std::ofstream out(path);
-        out << "{\"version\": 1, \"entries\": [\n"
+        out << "{\"version\": 1, \"fingerprint_layout\": "
+            << fingerprintVersion << ", \"entries\": [\n"
                "  {\"fp\": \"0x00000000deadbeef\", " << kOutcome
             << "},\n"
                "  {\"fp\": \"zz\", " << kOutcome << "}\n"
@@ -410,7 +458,8 @@ writeCacheWithOutcome(const std::string &name, const std::string &outcome)
 {
     const std::string path = testing::TempDir() + name;
     std::ofstream out(path);
-    out << "{\"version\": 1, \"entries\": [\n"
+    out << "{\"version\": 1, \"fingerprint_layout\": "
+        << fingerprintVersion << ", \"entries\": [\n"
            "  {\"fp\": \"0x00000000deadbeef\", " << kOutcome << "},\n"
            "  {\"fp\": \"0x0000000000000042\", " << outcome << "}\n"
            "]}\n";

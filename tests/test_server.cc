@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "server/experiment.hh"
+#include "harness/experiment.hh"
 
 namespace krisp
 {
