@@ -105,8 +105,10 @@ main()
     report.set("shards", static_cast<double>(kShards));
 
     // Byte-identity gate first, with observability attached (the
-    // metrics registry is the comparison artifact). Timed runs below
-    // go without obs so the clock sees the engines, not the metrics.
+    // metrics registry is the comparison artifact), over the full
+    // duration: a shorter probe would check fewer engine windows.
+    // Timed runs below go without obs so the clock sees the engines,
+    // not the metrics.
     bool bytes_ok = true;
     {
         auto withObs = [&cfg](const EngineConfig &engine,
@@ -122,9 +124,6 @@ main()
         };
         std::string seq_json, par_json;
         std::uint64_t seq_hash = 0, par_hash = 0;
-        ClusterConfig small = cfg;
-        // The identity probe does not need the full duration.
-        small.measureNs = ticksFromMs(200.0);
         withObs(engineOf(ClusterEngine::Sequential, 1), &seq_json,
                 &seq_hash);
         withObs(engineOf(ClusterEngine::Parallel, 4), &par_json,

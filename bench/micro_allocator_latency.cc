@@ -127,17 +127,23 @@ BM_AllocateCacheBusyMiss(benchmark::State &state)
 }
 BENCHMARK(BM_AllocateCacheBusyMiss);
 
+/**
+ * One kernel arriving and leaving: the counter update the device runs
+ * on every dispatch and retirement. 8 CUs is a typical KRISP grant,
+ * 60 the whole-device mask every MPS kernel carries.
+ */
 void
 BM_ResourceMonitorUpdate(benchmark::State &state)
 {
     ResourceMonitor mon(arch);
-    const CuMask m = CuMask::firstN(30);
+    const CuMask m =
+        CuMask::firstN(static_cast<unsigned>(state.range(0)));
     for (auto _ : state) {
         mon.addKernel(m);
         mon.removeKernel(m);
     }
 }
-BENCHMARK(BM_ResourceMonitorUpdate);
+BENCHMARK(BM_ResourceMonitorUpdate)->Arg(8)->Arg(30)->Arg(60);
 
 /** Mean wall-clock ns of @p fn over enough iterations to be stable. */
 template <typename Fn>

@@ -1,8 +1,7 @@
 #include "core/mask_allocator.hh"
 
 #include <algorithm>
-#include <numeric>
-#include <vector>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -23,33 +22,37 @@ distributionPolicyName(DistributionPolicy policy)
 namespace
 {
 
-/** Shader engines sorted by ascending kernel load (Alg. 1 line 8). */
-std::vector<unsigned>
-sesByLoad(const ResourceMonitor &monitor)
+/** The CUs of @p bits within shader engine @p se, shifted to bit 0. */
+std::uint64_t
+seBits(std::uint64_t bits, const ArchParams &arch, unsigned se)
 {
-    const unsigned num_se = monitor.arch().numSe;
-    std::vector<unsigned> order(num_se);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](unsigned a, unsigned b) {
-        return monitor.seKernelSum(a) < monitor.seKernelSum(b);
-    });
-    return order;
+    const std::uint64_t bits_in_se =
+        arch.cusPerSe < 64 ? (std::uint64_t(1) << arch.cusPerSe) - 1
+                           : ~std::uint64_t(0);
+    return (bits >> (se * arch.cusPerSe)) & bits_in_se;
 }
 
-/** CUs of one SE sorted by ascending kernel count (Alg. 1 line 12). */
-std::vector<unsigned>
-cusByLoad(const ResourceMonitor &monitor, unsigned se)
+using Ranking = std::array<std::uint8_t, ResourceMonitor::maxCus>;
+using Loads = std::array<std::uint32_t, ResourceMonitor::maxCus>;
+
+/**
+ * One step of a stable insertion sort by ascending load: put (@p load,
+ * @p id) at place @p at or before it, behind every entry of equal or
+ * lower load, shifting the higher ones up. The entry at @p at is
+ * overwritten: pass the next free place, or the last place of a full
+ * ranking to drop its entry. Inserting ids in ascending order ranks
+ * equal loads lowest id first.
+ */
+void
+insertByLoad(Ranking &ids, Loads &loads, unsigned at, std::uint32_t load,
+             unsigned id)
 {
-    const unsigned cus = monitor.arch().cusPerSe;
-    std::vector<unsigned> order(cus);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](unsigned a, unsigned b) {
-        return monitor.kernelsOnSeCu(se, a) <
-               monitor.kernelsOnSeCu(se, b);
-    });
-    return order;
+    for (; at > 0 && loads[at - 1] > load; --at) {
+        loads[at] = loads[at - 1];
+        ids[at] = ids[at - 1];
+    }
+    loads[at] = load;
+    ids[at] = static_cast<std::uint8_t>(id);
 }
 
 } // namespace
@@ -68,53 +71,93 @@ MaskAllocator::takeFromSe(CuMask &mask, const ResourceMonitor &monitor,
                           bool always_grant) const
 {
     const ArchParams &arch = monitor.arch();
-    const std::vector<unsigned> cu_order = cusByLoad(monitor, se);
-    for (unsigned j = 0;
-         j < cu_quota && j < cu_order.size() && allocated < num_cus;
-         ++j) {
-        const unsigned cu = cu_order[j];
-        const bool occupied = monitor.kernelsOnSeCu(se, cu) > 0;
-        if (occupied)
-            ++overlapped;
-        if (always_grant || !occupied || overlapped <= overlap_limit_)
-            mask.setSeCu(arch, se, cu);
+    const unsigned first_cu = se * arch.cusPerSe;
+    unsigned want =
+        std::min({cu_quota, arch.cusPerSe, num_cus - allocated});
+
+    // Least-loaded order (Alg. 1 line 12) starts with the idle CUs,
+    // lowest index first: take them straight from the idle mask.
+    const std::uint64_t device_idle = monitor.idleCus().bits();
+    std::uint64_t idle = seBits(device_idle, arch, se);
+    std::uint64_t taken = 0;
+    for (; want > 0 && idle != 0; --want) {
+        taken |= idle & -idle;
+        idle &= idle - 1;
+        ++allocated;
+    }
+    mask = mask | CuMask::ofBits(taken << first_cu);
+    if (want == 0)
+        return;
+
+    // The quota reaches past the idle CUs: rank the occupied ones by
+    // ascending kernel count, equal counts lowest index first, with a
+    // stable insertion sort on a fixed array that keeps only the
+    // first `want` of them.
+    Ranking cus{};
+    Loads loads{};
+    unsigned ranked = 0;
+    for (std::uint64_t busy = seBits(~device_idle, arch, se); busy != 0;
+         busy &= busy - 1) {
+        const unsigned cu = std::countr_zero(busy);
+        const std::uint32_t load = monitor.kernelsOnCu(first_cu + cu);
+        if (ranked < want)
+            insertByLoad(cus, loads, ranked++, load, cu);
+        else if (load < loads[want - 1])
+            insertByLoad(cus, loads, want - 1, load, cu);
+    }
+    for (unsigned j = 0; j < want; ++j) {
+        ++overlapped;
+        if (always_grant || overlapped <= overlap_limit_)
+            mask.set(first_cu + cus[j]);
         ++allocated;
     }
 }
 
-CuMask
-MaskAllocator::allocateConserved(unsigned num_cus,
-                                 const ResourceMonitor &monitor,
-                                 bool always_grant)
+unsigned
+MaskAllocator::conservedSeCount(unsigned num_cus,
+                                const ResourceMonitor &monitor,
+                                const SeOrder &se_order,
+                                bool always_grant) const
 {
     const ArchParams &arch = monitor.arch();
-    // Fewest SEs that satisfy the request, evenly loaded (lines 2-3).
-    // "Evenly" means the per-SE quotas differ by at most one CU; a
-    // plain ceil() quota would leave the last SE short and create an
-    // imbalance the even workgroup split punishes (Fig. 8).
+    // Fewest SEs that satisfy the request (lines 2-3).
     unsigned num_se = (num_cus + arch.cusPerSe - 1) / arch.cusPerSe;
-    if (always_grant && overlap_limit_ < arch.totalCus()) {
-        // Isolation in force: widen the SE set while the least-loaded
-        // SEs cannot supply the request from idle CUs alone, so free
-        // capacity in other clusters is used before overlapping.
-        while (num_se < arch.numSe) {
-            const std::vector<unsigned> order = sesByLoad(monitor);
-            unsigned free_cus = 0;
-            for (unsigned i = 0; i < num_se; ++i) {
-                for (unsigned cu = 0; cu < arch.cusPerSe; ++cu) {
-                    if (monitor.kernelsOnSeCu(order[i], cu) == 0)
-                        ++free_cus;
-                }
-            }
-            if (free_cus + overlap_limit_ >= num_cus)
-                break;
-            ++num_se;
-        }
-    }
-    const unsigned base = num_cus / num_se;
-    const unsigned extra = num_cus % num_se;
+    if (!always_grant || overlap_limit_ >= arch.totalCus() ||
+        num_se >= arch.numSe)
+        return num_se;
+    // Isolation in force: widen the SE set while the least-loaded
+    // SEs cannot supply the request from idle CUs alone, so free
+    // capacity in other clusters is used before overlapping.
+    const std::uint64_t idle = monitor.idleCus().bits();
+    unsigned free_cus = 0;
+    for (unsigned i = 0; i < num_se; ++i)
+        free_cus += std::popcount(seBits(idle, arch, se_order[i]));
+    while (num_se < arch.numSe && free_cus + overlap_limit_ < num_cus)
+        free_cus += std::popcount(seBits(idle, arch, se_order[num_se++]));
+    return num_se;
+}
 
-    const std::vector<unsigned> se_order = sesByLoad(monitor);
+CuMask
+MaskAllocator::grant(unsigned num_cus, const ResourceMonitor &monitor,
+                     const SeOrder &se_order, bool always_grant)
+{
+    const ArchParams &arch = monitor.arch();
+    // Per-SE quotas: `base` CUs each and one more for the first
+    // `extra` SEs, so an even split differs by at most one CU; a
+    // plain ceil() quota would leave the last SE short and create an
+    // imbalance the even workgroup split punishes (Fig. 8). Packed
+    // fills whole SEs instead.
+    unsigned num_se = arch.numSe;
+    unsigned base = arch.cusPerSe;
+    unsigned extra = 0;
+    if (policy_ != DistributionPolicy::Packed) {
+        if (policy_ == DistributionPolicy::Conserved)
+            num_se = conservedSeCount(num_cus, monitor, se_order,
+                                      always_grant);
+        base = num_cus / num_se;
+        extra = num_cus % num_se;
+    }
+
     CuMask mask;
     unsigned allocated = 0;
     unsigned overlapped = 0;
@@ -125,63 +168,6 @@ MaskAllocator::allocateConserved(unsigned num_cus,
     }
     stats_.overlappedCus += overlapped;
     return mask;
-}
-
-CuMask
-MaskAllocator::allocateDistributed(unsigned num_cus,
-                                   const ResourceMonitor &monitor,
-                                   bool always_grant)
-{
-    const ArchParams &arch = monitor.arch();
-    const unsigned num_se = arch.numSe;
-    const unsigned base = num_cus / num_se;
-    const unsigned extra = num_cus % num_se;
-
-    const std::vector<unsigned> se_order = sesByLoad(monitor);
-    CuMask mask;
-    unsigned allocated = 0;
-    unsigned overlapped = 0;
-    for (unsigned i = 0; i < num_se && allocated < num_cus; ++i) {
-        const unsigned quota = base + (i < extra ? 1 : 0);
-        takeFromSe(mask, monitor, se_order[i], quota, num_cus,
-                   allocated, overlapped, always_grant);
-    }
-    stats_.overlappedCus += overlapped;
-    return mask;
-}
-
-CuMask
-MaskAllocator::allocatePacked(unsigned num_cus,
-                              const ResourceMonitor &monitor,
-                              bool always_grant)
-{
-    const ArchParams &arch = monitor.arch();
-    const std::vector<unsigned> se_order = sesByLoad(monitor);
-    CuMask mask;
-    unsigned allocated = 0;
-    unsigned overlapped = 0;
-    for (unsigned i = 0; i < arch.numSe && allocated < num_cus; ++i) {
-        takeFromSe(mask, monitor, se_order[i], arch.cusPerSe, num_cus,
-                   allocated, overlapped, always_grant);
-    }
-    stats_.overlappedCus += overlapped;
-    return mask;
-}
-
-CuMask
-MaskAllocator::dispatchPolicy(unsigned num_cus,
-                              const ResourceMonitor &monitor,
-                              bool always_grant)
-{
-    switch (policy_) {
-      case DistributionPolicy::Conserved:
-        return allocateConserved(num_cus, monitor, always_grant);
-      case DistributionPolicy::Distributed:
-        return allocateDistributed(num_cus, monitor, always_grant);
-      case DistributionPolicy::Packed:
-        return allocatePacked(num_cus, monitor, always_grant);
-    }
-    panic("unknown distribution policy");
 }
 
 void
@@ -225,6 +211,13 @@ MaskAllocator::allocate(unsigned requested_cus,
         }
     }
 
+    // Shader engines by ascending kernel sum (Alg. 1 line 8), equal
+    // sums lowest index first: a stable insertion sort, once per call.
+    SeOrder se_order{};
+    Loads se_loads{};
+    for (unsigned se = 0; se < arch.numSe; ++se)
+        insertByLoad(se_order, se_loads, se, monitor.seKernelSum(se), se);
+
     CuMask mask;
     if (balanced_) {
         // Shrink the request to what the overlap budget can supply
@@ -240,11 +233,11 @@ MaskAllocator::allocate(unsigned requested_cus,
             target = std::max((num_cus + 1) / 2, free + budget);
         }
         target = std::clamp(target, 1u, total);
-        mask = dispatchPolicy(target, monitor, /*always_grant=*/true);
+        mask = grant(target, monitor, se_order, /*always_grant=*/true);
     } else {
         // Literal Algorithm 1: occupied CUs beyond the overlap
         // budget are skipped but still count against the request.
-        mask = dispatchPolicy(num_cus, monitor, /*always_grant=*/false);
+        mask = grant(num_cus, monitor, se_order, /*always_grant=*/false);
         if (mask.empty()) {
             // Nothing isolated was available; the kernel must still
             // run somewhere. Grant the globally least-loaded CU.

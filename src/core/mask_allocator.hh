@@ -18,7 +18,9 @@
  *
  * SEs are chosen least-loaded-first by the sum of their CU kernel
  * counters, and CUs within an SE least-loaded-first, minimising
- * kernel overlap. An overlap limit bounds how many already-occupied
+ * kernel overlap; equal loads go to the lower index. No call touches
+ * the heap: the orders live in fixed arrays sized by the 64-bit
+ * CuMask. An overlap limit bounds how many already-occupied
  * CUs may be included: 0 gives KRISP-I (isolated, possibly granting
  * fewer CUs than requested), totalCus gives KRISP-O (oversubscribed).
  */
@@ -115,18 +117,26 @@ class MaskAllocator : public MaskAllocatorIface
     const MaskAllocatorStats &stats() const { return stats_; }
 
   private:
-    CuMask allocateConserved(unsigned num_cus,
-                             const ResourceMonitor &monitor,
-                             bool always_grant);
-    CuMask allocateDistributed(unsigned num_cus,
-                               const ResourceMonitor &monitor,
-                               bool always_grant);
-    CuMask allocatePacked(unsigned num_cus,
-                          const ResourceMonitor &monitor,
-                          bool always_grant);
-    CuMask dispatchPolicy(unsigned num_cus,
-                          const ResourceMonitor &monitor,
-                          bool always_grant);
+    /** Shader engine indices, least-loaded first. */
+    using SeOrder = std::array<std::uint8_t, ResourceMonitor::maxCus>;
+
+    /**
+     * Algorithm 1 proper for a request of @p num_cus: split it into
+     * per-SE quotas as the policy says and fill them from the SEs of
+     * @p se_order in turn.
+     */
+    CuMask grant(unsigned num_cus, const ResourceMonitor &monitor,
+                 const SeOrder &se_order, bool always_grant);
+
+    /**
+     * Conserved policy: the fewest SEs that hold the request, widened
+     * while isolation is in force and the first SEs of @p se_order
+     * lack the idle CUs to supply it.
+     */
+    unsigned conservedSeCount(unsigned num_cus,
+                              const ResourceMonitor &monitor,
+                              const SeOrder &se_order,
+                              bool always_grant) const;
 
     /**
      * Shared inner loop: fill @p mask taking up to @p cu_quota CUs

@@ -5,12 +5,47 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
 #include "core/mask_allocator.hh"
+
+namespace
+{
+/** Every operator new in this test binary, for the no-heap test. */
+std::atomic<std::uint64_t> heap_allocations{0};
+} // namespace
+
+// All out of line: inlined, they would show the compiler malloc()
+// and free() paired with operator delete and operator new, and trip
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    ++heap_allocations;
+    if (void *p = std::malloc(size != 0 ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace krisp
 {
@@ -333,8 +368,9 @@ TEST_P(AllocatorProperty, RandomAllocReleaseSequences)
                 // Literal Algorithm 1: granted-occupied CUs stay
                 // within the overlap budget. The single-CU fallback
                 // (nothing isolated available) is the one exception.
-                if (m.count() > 1)
+                if (m.count() > 1) {
                     ASSERT_LE(overlap, c.overlapLimit);
+                }
             } else {
                 // Balanced mode grants exactly the shrunk target:
                 // the full request while free + budget covers it,
@@ -426,6 +462,53 @@ propCases()
 INSTANTIATE_TEST_SUITE_P(Randomized, AllocatorProperty,
                          ::testing::ValuesIn(propCases()));
 
+/**
+ * Algorithm 1 and the monitor updates run on every kernel dispatch;
+ * neither may touch the heap, in any policy or grant mode, cached or
+ * not, on an idle or a crowded device.
+ */
+TEST(MaskAllocator, AllocateAndMonitorUpdatesStayOffTheHeap)
+{
+    ResourceMonitor mon(arch);
+    std::vector<MaskAllocator> allocs;
+    for (const auto policy :
+         {DistributionPolicy::Conserved, DistributionPolicy::Packed,
+          DistributionPolicy::Distributed}) {
+        for (const unsigned limit : {0u, 3u, ~0u}) {
+            for (const bool strict : {false, true}) {
+                allocs.emplace_back(policy, limit);
+                allocs.back().setBalancedGrants(!strict);
+                allocs.back().setMaskCacheEnabled(limit == 3u);
+            }
+        }
+    }
+    std::array<CuMask, 48> live;
+    std::size_t resident = 0;
+    Rng rng(0x0ffe);
+
+    const std::uint64_t before = heap_allocations.load();
+    for (unsigned step = 0; step < 4000; ++step) {
+        MaskAllocator &alloc = allocs[step % allocs.size()];
+        if (resident < live.size() && (resident == 0 || rng.chance(0.55))) {
+            const CuMask m = rng.chance(0.1)
+                                 ? CuMask::full(arch)
+                                 : alloc.allocate(
+                                       1 + static_cast<unsigned>(
+                                               rng.below(64)),
+                                       mon);
+            mon.addKernel(m);
+            live[resident++] = m;
+        } else {
+            const std::size_t victim =
+                static_cast<std::size_t>(rng.below(resident));
+            mon.removeKernel(live[victim]);
+            alloc.noteReleased(live[victim]);
+            live[victim] = live[--resident];
+        }
+    }
+    EXPECT_EQ(heap_allocations.load() - before, 0u);
+}
+
 TEST(MaskAllocatorDeath, ZeroRequestRejected)
 {
     ResourceMonitor idle(arch);
@@ -450,10 +533,158 @@ TEST(ResourceMonitor, AddRemoveCycle)
     EXPECT_EQ(mon.idleCus().count(), 60u);
 }
 
+TEST(ResourceMonitor, WholeDeviceKernelsCountOnEveryCu)
+{
+    ResourceMonitor mon(arch);
+    mon.addKernel(CuMask::full(arch));
+    mon.addKernel(CuMask::firstN(10));
+    EXPECT_EQ(mon.kernelsOnCu(0), 2u);
+    EXPECT_EQ(mon.kernelsOnCu(59), 1u);
+    EXPECT_EQ(mon.seKernelSum(0), 25u);
+    EXPECT_EQ(mon.seKernelSum(3), 15u);
+    EXPECT_EQ(mon.busyCus(), 60u);
+    EXPECT_TRUE(mon.idleCus().empty());
+    // Counts, not kernels, are tracked: a mask that was never added
+    // may leave as long as every CU in it hosts a kernel.
+    mon.removeKernel(CuMask::firstN(10) | CuMask::ofBits(1ull << 40));
+    mon.removeKernel(CuMask::firstN(5));
+    EXPECT_EQ(mon.kernelsOnCu(0), 0u);
+    EXPECT_EQ(mon.kernelsOnCu(5), 1u);
+    EXPECT_EQ(mon.kernelsOnCu(40), 0u);
+    EXPECT_EQ(mon.seKernelSum(0), 10u);
+    EXPECT_EQ(mon.seKernelSum(2), 14u);
+    EXPECT_EQ(mon.busyCus(), 54u);
+    EXPECT_EQ(mon.idleCus().bits(),
+              CuMask::firstN(5).bits() | (1ull << 40));
+    EXPECT_EQ(mon.residentKernels(), 0u);
+}
+
+/**
+ * The monitor's incremental state agrees with a recount after every
+ * step of random add/remove sequences: counters against a reference
+ * model, per-SE sums, busy and idle sets against kernelsOnCu. Some
+ * kernels cover the whole device, and removals are any mask whose
+ * CUs all host a kernel, not only masks that were added.
+ */
+class MonitorInvariants
+    : public ::testing::TestWithParam<std::pair<unsigned, unsigned>>
+{
+};
+
+TEST_P(MonitorInvariants, IncrementalStateMatchesRecount)
+{
+    ArchParams shape = arch;
+    shape.numSe = GetParam().first;
+    shape.cusPerSe = GetParam().second;
+    const unsigned total = shape.totalCus();
+    Rng rng(0x4d0 + total * 7 + shape.numSe);
+    ResourceMonitor mon(shape);
+    std::vector<unsigned> ref(total, 0);
+    unsigned resident = 0;
+
+    for (unsigned step = 0; step < 3000; ++step) {
+        SCOPED_TRACE(::testing::Message() << "step " << step);
+        CuMask busy;
+        for (unsigned cu = 0; cu < total; ++cu)
+            if (ref[cu] > 0)
+                busy.set(cu);
+        const bool add = busy.empty() || resident == 0 || rng.chance(0.55);
+        CuMask m;
+        if (add && rng.chance(0.2)) {
+            m = CuMask::full(shape);
+        } else if (add) {
+            const double density = rng.uniform(0.02, 0.7);
+            for (unsigned cu = 0; cu < total; ++cu)
+                if (rng.chance(density))
+                    m.set(cu);
+            if (m.empty())
+                m.set(static_cast<unsigned>(rng.below(total)));
+        } else if (busy == CuMask::full(shape) && rng.chance(0.3)) {
+            m = busy;
+        } else {
+            const double density = rng.uniform(0.05, 1.0);
+            for (unsigned cu = 0; cu < total; ++cu)
+                if (busy.test(cu) && rng.chance(density))
+                    m.set(cu);
+            if (m.empty())
+                m.set(static_cast<unsigned>(std::countr_zero(busy.bits())));
+        }
+        if (add) {
+            mon.addKernel(m);
+            ++resident;
+        } else {
+            mon.removeKernel(m);
+            --resident;
+        }
+        for (unsigned cu = 0; cu < total; ++cu)
+            if (m.test(cu))
+                ref[cu] += add ? 1 : -1;
+
+        unsigned busy_cus = 0;
+        CuMask idle;
+        for (unsigned cu = 0; cu < total; ++cu) {
+            ASSERT_EQ(mon.kernelsOnCu(cu), ref[cu]) << "cu " << cu;
+            if (mon.kernelsOnCu(cu) > 0)
+                ++busy_cus;
+            else
+                idle.set(cu);
+        }
+        for (unsigned se = 0; se < shape.numSe; ++se) {
+            unsigned sum = 0;
+            for (unsigned cu = 0; cu < shape.cusPerSe; ++cu)
+                sum += mon.kernelsOnSeCu(se, cu);
+            ASSERT_EQ(mon.seKernelSum(se), sum) << "se " << se;
+        }
+        ASSERT_EQ(mon.busyCus(), busy_cus);
+        ASSERT_EQ(mon.idleCus(), idle);
+        ASSERT_EQ(mon.residentKernels(), resident);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, MonitorInvariants,
+    ::testing::Values(std::pair{4u, 15u}, std::pair{8u, 8u},
+                      std::pair{1u, 64u}, std::pair{64u, 1u},
+                      std::pair{3u, 5u}),
+    [](const ::testing::TestParamInfo<std::pair<unsigned, unsigned>>
+           &info) {
+        return std::to_string(info.param.first) + "x" +
+               std::to_string(info.param.second);
+    });
+
 TEST(ResourceMonitorDeath, Underflow)
 {
     ResourceMonitor mon(arch);
     EXPECT_DEATH(mon.removeKernel(CuMask::firstN(1)), "empty");
+    mon.addKernel(CuMask::firstN(3));
+    // Names the lowest CU that has no kernel.
+    EXPECT_DEATH(mon.removeKernel(CuMask::ofBits(0b1000100111)),
+                 "underflow on CU 5[^0-9]");
+}
+
+TEST(ResourceMonitorDeath, EmptyMask)
+{
+    ResourceMonitor mon(arch);
+    EXPECT_DEATH(mon.addKernel(CuMask()), "empty mask");
+}
+
+TEST(ResourceMonitorDeath, IndexOutOfRange)
+{
+    ResourceMonitor mon(arch);
+    EXPECT_DEATH(mon.kernelsOnCu(60), "CU index out of range: 60");
+    EXPECT_DEATH(mon.kernelsOnSeCu(4, 0), "CU index out of range: 60");
+    EXPECT_DEATH(mon.seKernelSum(4), "SE index out of range: 4");
+}
+
+TEST(ResourceMonitorDeath, MoreThan64Cus)
+{
+    ArchParams big = arch;
+    big.numSe = 5;
+    big.cusPerSe = 13;
+    EXPECT_DEATH(ResourceMonitor{big}, "tracks 1 to 64 CUs");
+    ArchParams none = arch;
+    none.numSe = 0;
+    EXPECT_DEATH(ResourceMonitor{none}, "tracks 1 to 64 CUs");
 }
 
 } // namespace
