@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "common/random.hh"
@@ -123,6 +126,64 @@ TEST_P(MaxMinFairProperty, Invariants)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinFairProperty,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+/**
+ * The allocation as first written: ascending demands by std::sort
+ * over an index vector, each claimant taking min(demand, fair share
+ * of what remains). The device's bandwidth grants, and through them
+ * every simulated tick and joule, depend on this exact order and
+ * summation.
+ */
+std::vector<double>
+referenceMaxMinFair(const std::vector<double> &demands, double capacity)
+{
+    std::vector<double> grants(demands.size(), 0.0);
+    if (demands.empty() || capacity <= 0)
+        return grants;
+    std::vector<std::size_t> order(demands.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(), [&](auto a, auto b) {
+        return demands[a] < demands[b];
+    });
+    double remaining = capacity;
+    std::size_t left = demands.size();
+    for (const std::size_t i : order) {
+        const double fair = remaining / static_cast<double>(left);
+        const double grant = std::min(demands[i], fair);
+        grants[i] = grant;
+        remaining -= grant;
+        --left;
+    }
+    return grants;
+}
+
+TEST(MaxMinFair, MatchesStdSortReferenceBitForBit)
+{
+    // A small value set makes ties common; lengths straddle the
+    // 16-entry threshold where libstdc++ stops insertion-sorting.
+    const std::vector<double> values = {0.0,   0.1,   0.3,  1.0 / 3,
+                                        2.5,   17.0,  64.0, 100.0,
+                                        333.3, 512.0, 1024.0};
+    Rng rng(0xba5e);
+    std::vector<double> grants;
+    std::vector<std::size_t> order;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const std::size_t n = 1 + rng.below(40);
+        std::vector<double> demands(n);
+        for (auto &d : demands)
+            d = values[rng.below(values.size())];
+        const double cap = rng.chance(0.05) ? 0.0
+                                            : rng.uniform(0.5, 4096.0);
+        const auto want = referenceMaxMinFair(demands, cap);
+        maxMinFairShareInto(demands, cap, grants, order);
+        ASSERT_EQ(grants.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(grants[i]),
+                      std::bit_cast<std::uint64_t>(want[i]))
+                << "trial " << trial << ", demand " << i << " of " << n;
+        }
+    }
+}
 
 } // namespace
 } // namespace krisp

@@ -5,7 +5,10 @@
  * each serving loop (closed loop, open loop, cluster, LLM engine),
  * rendered to metrics JSON and byte-compared against snapshots in
  * tests/golden/. Serving-loop traces and timelines are pinned as an
- * FNV-1a digest plus record count (serving_digests.txt).
+ * FNV-1a digest plus record count (serving_digests.txt); the device
+ * fluid model's retirements, energy and latency stats over seeded
+ * random kernel mixes as one digest per device shape and seed
+ * (device_fluid_digests.txt).
  *
  * The simulator is deterministic end to end, so the comparison is
  * exact — any divergence is a real behaviour change. To review and
@@ -22,7 +25,10 @@
 
 #include "cluster/cluster_server.hh"
 #include "common/fnv.hh"
+#include "common/random.hh"
 #include "core/krisp_runtime.hh"
+#include "core/mask_allocator.hh"
+#include "fault/fault_injector.hh"
 #include "gpu/gpu_device.hh"
 #include "models/model_zoo.hh"
 #include "obs/metrics.hh"
@@ -321,6 +327,163 @@ TEST(Golden, ServingTraceDigests)
         digests += obsDigests("llm", obs);
     }
     compareWithGolden("serving_digests.txt", digests);
+}
+
+// ---- device fluid model -------------------------------------------
+
+/** A mask of random CUs of @p arch, never empty. */
+CuMask
+randomDeviceMask(Rng &rng, const ArchParams &arch)
+{
+    const std::uint64_t device = CuMask::full(arch).bits();
+    std::uint64_t bits = 0;
+    while (bits == 0)
+        bits = rng() & rng() & device; // about a quarter of the CUs
+    return CuMask::ofBits(bits);
+}
+
+/** A random kernel: sometimes zero-byte, sometimes over-occupying. */
+KernelDescPtr
+randomKernel(Rng &rng, const ArchParams &arch)
+{
+    auto d = std::make_shared<KernelDescriptor>();
+    d->name = "k" + std::to_string(rng.below(1000));
+    d->numWorkgroups = static_cast<std::uint32_t>(
+        1 + rng.below(4 * std::uint64_t(arch.totalCus())));
+    d->wgDurationNs = rng.uniform(20.0, 400.0);
+    d->saturationWgsPerCu = static_cast<unsigned>(rng.below(9));
+    d->issueFactor = rng.uniform(0.25, 2.0);
+    d->bytes = rng.chance(0.3) ? 0.0 : rng.uniform(1e3, 2e6);
+    return d;
+}
+
+/**
+ * One seeded closed-loop mix on a @p num_se x @p cus_per_se device:
+ * 20 queues keep 24 kernels in flight, each completion launches
+ * the next. Kernels take whole-device or random partial queue masks
+ * (changed as the run goes) or Algorithm 1 masks; half of them reuse
+ * a few shared descriptors so bandwidth demands tie; hung and slowed
+ * kernels are injected and the watchdog kills the hung ones. The
+ * digest folds every retirement, the energy bits and the kernel
+ * latency moments.
+ */
+std::string
+runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
+{
+    constexpr unsigned numQueues = 20;
+    constexpr unsigned inFlight = 24;
+    constexpr unsigned totalKernels = 1500;
+
+    EventQueue eq;
+    GpuConfig cfg = GpuConfig::mi50();
+    cfg.arch.numSe = num_se;
+    cfg.arch.cusPerSe = cus_per_se;
+    // Board power dominated by the bandwidth term, with small
+    // power-of-two CU and SE weights: power, and so the energy bits,
+    // keep the low bits of every bandwidth grant, so a one-ulp change
+    // in any kernel's rate shows in the digest.
+    cfg.power.idleW = 0;
+    cfg.power.cuActiveW = 0x1p-20;
+    cfg.power.seUncoreW = 0x1p-16;
+    cfg.power.memMaxW = 1000.0;
+    const ArchParams &arch = cfg.arch;
+    GpuDevice device(eq, cfg);
+    MaskAllocator alloc(DistributionPolicy::Conserved);
+    device.setKrispAllocator(&alloc);
+    FaultPlan plan;
+    plan.seed = seed;
+    plan.kernelHangProb = 0.01;
+    plan.kernelSlowProb = 0.08;
+    plan.watchdogTimeoutNs = 1'000'000;
+    FaultInjector fault(plan);
+    device.attachFault(&fault);
+
+    Fnv1a fnv;
+    device.setTraceFn([&](const KernelTraceEvent &ev) {
+        fnv.add(std::uint64_t(ev.id))
+            .add(std::uint64_t(ev.queue))
+            .add(ev.mask.bits())
+            .add(std::uint64_t(ev.dispatchTick))
+            .add(std::uint64_t(ev.startTick))
+            .add(std::uint64_t(ev.endTick));
+    });
+
+    Rng rng(seed);
+    std::vector<KernelDescPtr> shared;
+    for (int i = 0; i < 4; ++i)
+        shared.push_back(randomKernel(rng, arch));
+    std::vector<HsaQueue *> queues;
+    for (unsigned q = 0; q < numQueues; ++q) {
+        queues.push_back(&device.createQueue());
+        if (rng.chance(0.5)) {
+            device.setQueueCuMask(queues.back()->id(),
+                                  randomDeviceMask(rng, arch));
+        }
+    }
+
+    unsigned launched = 0;
+    std::function<void()> launch = [&] {
+        if (launched == totalKernels)
+            return;
+        ++launched;
+        HsaQueue &q = *queues[rng.below(numQueues)];
+        if (rng.chance(0.1)) {
+            device.setQueueCuMask(q.id(),
+                                  rng.chance(0.5)
+                                      ? CuMask::full(arch)
+                                      : randomDeviceMask(rng, arch));
+        }
+        KernelDescPtr k = rng.chance(0.5)
+                              ? shared[rng.below(shared.size())]
+                              : randomKernel(rng, arch);
+        const unsigned requested =
+            rng.chance(0.3)
+                ? static_cast<unsigned>(1 + rng.below(arch.totalCus()))
+                : 0;
+        AqlPacket pkt = AqlPacket::dispatch(std::move(k), nullptr,
+                                            requested, rng.chance(0.1));
+        pkt.onComplete = [&] { launch(); };
+        q.push(std::move(pkt));
+    };
+    for (unsigned i = 0; i < inFlight; ++i)
+        launch();
+    eq.run();
+
+    const GpuDeviceStats &st = device.stats();
+    EXPECT_EQ(st.kernelsCompleted, totalKernels);
+    EXPECT_GT(st.concurrencyAtDispatch.max(), 16.0)
+        << "the mix must run more than 16 kernels at once";
+    EXPECT_GT(st.watchdogKills, 0u);
+    EXPECT_TRUE(device.idle());
+
+    fnv.add(device.power().energyJoules())
+        .add(std::uint64_t(st.kernelLatencyNs.count()))
+        .add(st.kernelLatencyNs.mean())
+        .add(st.kernelLatencyNs.variance())
+        .add(st.kernelLatencyNs.min())
+        .add(st.kernelLatencyNs.max());
+    return std::to_string(num_se) + "x" + std::to_string(cus_per_se) +
+           " seed=" + std::to_string(seed) +
+           " kernels=" + std::to_string(st.kernelsCompleted) +
+           " killed=" + std::to_string(st.watchdogKills) +
+           " peak_running=" +
+           std::to_string(
+               static_cast<unsigned>(st.concurrencyAtDispatch.max())) +
+           " fnv=" + fnvHex(fnv.value()) + "\n";
+}
+
+/** The device model's retirements, energy and latency stats over
+ *  seeded random mixes on five device shapes. */
+TEST(Golden, DeviceFluidRandomMixes)
+{
+    std::string digests;
+    for (const auto &[se, cus] :
+         std::vector<std::pair<unsigned, unsigned>>{
+             {4, 15}, {8, 8}, {1, 64}, {64, 1}, {3, 5}}) {
+        for (const std::uint64_t seed : {11u, 12u})
+            digests += runDeviceMix(se, cus, seed);
+    }
+    compareWithGolden("device_fluid_digests.txt", digests);
 }
 
 } // namespace
