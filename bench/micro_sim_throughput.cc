@@ -1,11 +1,13 @@
 /**
  * @file
- * Event-core throughput microbench (events/sec): how fast the
- * discrete-event kernel itself retires events, plus the end-to-end
- * event rate of a real server simulation. Tracks the hot-path work on
- * EventQueue (flat slots, lazy cancellation + compaction) and
- * FluidScheduler/GpuDevice (scratch reuse, incremental residency) —
- * diff BENCH_micro_sim_throughput.json across revisions.
+ * Simulator throughput microbench: how fast the discrete-event kernel
+ * itself retires events (events/sec), how fast one bare GpuDevice
+ * retires kernels (kernels/sec), and the end-to-end event rate of a
+ * real server simulation. Tracks the hot-path work on EventQueue (flat
+ * slots, lazy cancellation + compaction) and on the device's fluid
+ * rate recomputation (cached per-kernel constants, busy-CU-only
+ * passes, one lookup per running kernel) — diff
+ * BENCH_micro_sim_throughput.json across revisions.
  *
  * Wall-clock numbers are host-dependent; unlike the figure benches
  * this summary is NOT expected to be byte-stable.
@@ -17,6 +19,8 @@
 
 #include "bench/bench_util.hh"
 #include "common/table.hh"
+#include "core/mask_allocator.hh"
+#include "gpu/gpu_device.hh"
 #include "obs/obs.hh"
 #include "server/inference_server.hh"
 #include "sim/event_queue.hh"
@@ -75,6 +79,51 @@ cancelHeavyEventsPerSec(std::uint64_t total_events)
     return handled / secondsSince(start);
 }
 
+/**
+ * Device-only rate: @p streams HSA queues on one GpuDevice, each
+ * relaunching its kernel as soon as the last one completes, until
+ * @p total kernels retired. With @p krisp every launch asks Algorithm
+ * 1 for a 15-CU partition (KRISP-style partial masks); without it
+ * every kernel runs on the whole device (MPS). Each stream has its
+ * own kernel, half of them moving DRAM traffic.
+ */
+double
+deviceKernelsPerSec(unsigned streams, bool krisp, std::uint64_t total)
+{
+    EventQueue eq;
+    const GpuConfig cfg = GpuConfig::mi50();
+    GpuDevice device(eq, cfg);
+    MaskAllocator alloc(DistributionPolicy::Conserved);
+    if (krisp)
+        device.setKrispAllocator(&alloc);
+    std::uint64_t launched = 0;
+    std::vector<std::function<void()>> relaunch(streams);
+    for (unsigned s = 0; s < streams; ++s) {
+        auto k = std::make_shared<KernelDescriptor>();
+        k->name = "stream" + std::to_string(s);
+        k->numWorkgroups = 60 + 37 * s;
+        k->wgDurationNs = 400.0 + 50.0 * s;
+        k->saturationWgsPerCu = 4;
+        k->bytes = s % 2 == 0 ? 0.0 : 2e5;
+        HsaQueue *q = &device.createQueue();
+        relaunch[s] = [&, s, k, q] {
+            if (launched == total)
+                return;
+            ++launched;
+            AqlPacket pkt =
+                AqlPacket::dispatch(k, nullptr, krisp ? 15 : 0);
+            pkt.onComplete = [&relaunch, s] { relaunch[s](); };
+            q->push(std::move(pkt));
+        };
+    }
+    const auto start = std::chrono::steady_clock::now();
+    for (auto &fn : relaunch)
+        fn();
+    eq.run();
+    return static_cast<double>(device.stats().kernelsCompleted) /
+           secondsSince(start);
+}
+
 /** Whole-stack rate: one closed-loop server run, events from obs. */
 double
 serverEventsPerSec(double &out_events)
@@ -102,7 +151,8 @@ main()
 {
     bench::BenchReport report(
         "micro_sim_throughput",
-        "infrastructure: event-core events/sec (not a paper figure)");
+        "infrastructure: event-core events/sec and device "
+        "kernels/sec (not a paper figure)");
 
     const std::uint64_t n =
         bench::quickMode() ? 200'000 : 2'000'000;
@@ -117,6 +167,22 @@ main()
     table.row().cell("cancel-heavy").cell(cancel, 0);
     table.row().cell("server squeezenet x2").cell(server, 0);
     table.print("event core throughput");
+
+    const std::uint64_t kernels =
+        bench::quickMode() ? 20'000 : 200'000;
+    TextTable device_table({"masks", "streams", "kernels/sec"});
+    for (const bool krisp : {true, false}) {
+        const std::string masks = krisp ? "krisp" : "whole";
+        for (const unsigned streams : {1u, 4u, 16u}) {
+            const double rate =
+                deviceKernelsPerSec(streams, krisp, kernels);
+            device_table.row().cell(masks).cell(streams).cell(rate, 0);
+            report.set("device_" + masks + "_streams" +
+                           std::to_string(streams) + "_kernels_per_sec",
+                       rate);
+        }
+    }
+    device_table.print("device fluid model throughput");
 
     report.set("chain_events_per_sec", chain);
     report.set("cancel_heavy_events_per_sec", cancel);

@@ -26,15 +26,30 @@ maxMinFairShareInto(const std::vector<double> &demands, double capacity,
         return;
 
     // Process demands in ascending order; each unsatisfied claimant
-    // gets an equal share of what remains.
-    order.resize(demands.size());
+    // gets an equal share of what remains. Equal demands get
+    // different grants in the last bit depending on their order, so
+    // the order is std::sort's: up to 16 entries libstdc++ runs a
+    // stable insertion sort, done inline here without the call.
+    const std::size_t n = demands.size();
+    order.resize(n);
     std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](auto a, auto b) {
+    const auto less = [&](std::size_t a, std::size_t b) {
         return demands[a] < demands[b];
-    });
+    };
+    if (n <= 16) {
+        for (std::size_t i = 1; i < n; ++i) {
+            const std::size_t v = order[i];
+            std::size_t j = i;
+            for (; j > 0 && less(v, order[j - 1]); --j)
+                order[j] = order[j - 1];
+            order[j] = v;
+        }
+    } else {
+        std::sort(order.begin(), order.end(), less);
+    }
 
     double remaining = capacity;
-    std::size_t left = demands.size();
+    std::size_t left = n;
     for (const std::size_t i : order) {
         const double fair = remaining / static_cast<double>(left);
         const double grant = std::min(demands[i], fair);
@@ -67,14 +82,14 @@ GpuDevice::GpuDevice(EventQueue &eq, GpuConfig config)
       fluid_(
           eq, [this](FluidScheduler &fs) { recomputeRates(fs); },
           [this](JobId job) { onKernelComplete(job); }),
-      resident_(config_.arch.totalCus(), 0),
+      started_(config_.arch),
       scratch_cu_demand_(config_.arch.totalCus(), 0.0),
       scratch_cu_share_(config_.arch.totalCus(), 0.0)
 {
 }
 
 double
-GpuDevice::contentionPow(unsigned k)
+GpuDevice::growContentionPow(unsigned k)
 {
     while (contention_pow_.size() <= k) {
         contention_pow_.push_back(std::pow(
@@ -84,7 +99,7 @@ GpuDevice::contentionPow(unsigned k)
     return contention_pow_[k];
 }
 
-void
+GpuDevice::RunningKernel &
 GpuDevice::adoptRunning(JobId job, RunningKernel rk)
 {
     // Cache the kernel's occupancy demand: a kernel that cannot fill
@@ -93,13 +108,14 @@ GpuDevice::adoptRunning(JobId job, RunningKernel rk)
     // unrestricted MPS sharing works well for under-utilising models
     // (Sec. VI-B).
     const double sat = std::max(1u, rk.desc->saturationWgsPerCu);
+    rk.cuCount = rk.mask.count();
     rk.demand = std::min(1.0, double(rk.desc->numWorkgroups) /
-                                  (double(rk.mask.count()) * sat));
-    for (std::uint64_t bits = rk.mask.bits(); bits != 0;
-         bits &= bits - 1) {
-        ++resident_[static_cast<unsigned>(std::countr_zero(bits))];
-    }
-    running_.emplace(job, std::move(rk));
+                                  (double(rk.cuCount) * sat));
+    rk.tCompute = std::max(
+        timing::computeTimeNs(*rk.desc, rk.mask, config_.arch),
+        minComputeNs);
+    started_.addKernel(rk.mask);
+    return running_.emplace(job, std::move(rk)).first->second;
 }
 
 GpuDevice::RunningKernel
@@ -110,12 +126,7 @@ GpuDevice::removeRunning(JobId job)
              job);
     RunningKernel rk = std::move(it->second);
     running_.erase(it);
-    for (std::uint64_t bits = rk.mask.bits(); bits != 0;
-         bits &= bits - 1) {
-        const auto cu = static_cast<unsigned>(std::countr_zero(bits));
-        panic_if(resident_[cu] == 0, "CU residency underflow");
-        --resident_[cu];
-    }
+    started_.removeKernel(rk.mask);
     return rk;
 }
 
@@ -483,81 +494,95 @@ void
 GpuDevice::recomputeRates(FluidScheduler &fs)
 {
     const ArchParams &arch = config_.arch;
-    const unsigned total_cus = arch.totalCus();
 
+    // Each job's running kernel, looked up once. The one job without
+    // a record is the kernel staged by dispatchKernel (fluid_.add
+    // triggers this callback before add() returns the new job id):
+    // adopt it here. The job order fixes the order of every sum and
+    // bandwidth tie below.
     scratch_jobs_.clear();
     fs.appendActiveJobs(scratch_jobs_);
     const std::vector<JobId> &jobs = scratch_jobs_;
-
-    // Adopt a kernel staged by dispatchKernel (fluid_.add triggers
-    // this callback before add() returns the new job id). Adoption
-    // updates the incremental residency map; retirement and watchdog
-    // kills decrement it, so it never needs rebuilding here.
-    if (staging_.has_value()) {
-        for (const JobId job : jobs) {
-            if (!running_.count(job)) {
-                adoptRunning(job, std::move(*staging_));
-                staging_.reset();
-                break;
-            }
+    scratch_kernels_.clear();
+    for (const JobId job : jobs) {
+        auto it = running_.find(job);
+        if (it != running_.end()) {
+            scratch_kernels_.push_back(&it->second);
+            continue;
         }
+        panic_if(!staging_.has_value(), "active job ", job,
+                 " has no running-kernel record");
+        scratch_kernels_.push_back(
+            &adoptRunning(job, std::move(*staging_)));
+        staging_.reset();
     }
 
-    // Aggregate occupancy demand per CU from the running kernels'
-    // cached per-kernel demands (job order fixes the summation order).
-    std::fill(scratch_cu_demand_.begin(), scratch_cu_demand_.end(),
-              0.0);
-    for (const JobId job : jobs) {
-        const auto it = running_.find(job);
-        panic_if(it == running_.end(), "active job ", job,
-                 " has no running-kernel record");
-        const RunningKernel &rk = it->second;
-        for (std::uint64_t bits = rk.mask.bits(); bits != 0;
-             bits &= bits - 1) {
+    // Aggregate occupancy demand per busy CU from the running kernels'
+    // cached per-kernel demands, in job order.
+    const std::uint64_t busy = started_.busyCuMask().bits();
+    for (std::uint64_t b = busy; b != 0; b &= b - 1)
+        scratch_cu_demand_[static_cast<unsigned>(std::countr_zero(b))] =
+            0.0;
+    for (const RunningKernel *rk : scratch_kernels_) {
+        panic_if((rk->mask.bits() & ~busy) != 0,
+                 "running kernel on idle CU");
+        for (std::uint64_t b = rk->mask.bits(); b != 0; b &= b - 1) {
             scratch_cu_demand_[static_cast<unsigned>(
-                std::countr_zero(bits))] += rk.demand;
+                std::countr_zero(b))] += rk->demand;
         }
     }
 
     // Per-CU share factor: a CU whose aggregate occupancy demand
     // exceeds its capacity scales everyone proportionally; a
     // multiplicative interference penalty applies per co-resident
-    // kernel regardless. Both depend on the CU alone, so each CU's
-    // factor is computed once here rather than once per kernel.
-    for (unsigned cu = 0; cu < total_cus; ++cu) {
-        const unsigned n = resident_[cu];
-        if (n == 0)
-            continue;
-        scratch_cu_share_[cu] =
-            std::min(1.0, 1.0 / scratch_cu_demand_[cu]) *
-            contentionPow(n - 1);
+    // kernel regardless. Both depend on the CU alone, so each busy
+    // CU's factor is computed once here rather than once per kernel.
+    // min(1, 1/d) is exactly 1 unless d > 1, so only those CUs
+    // divide. `penalised` marks the CUs whose factor is not exactly 1.
+    std::uint64_t penalised = 0;
+    for (std::uint64_t b = busy; b != 0; b &= b - 1) {
+        const auto cu = static_cast<unsigned>(std::countr_zero(b));
+        const double d = scratch_cu_demand_[cu];
+        const double share = (d > 1.0 ? 1.0 / d : 1.0) *
+                             contentionPow(started_.kernelsOnCu(cu) - 1);
+        scratch_cu_share_[cu] = share;
+        if (share != 1.0)
+            penalised |= b & -b;
     }
 
     scratch_evals_.clear();
-
-    for (const JobId job : jobs) {
-        RunningKernel &rk = running_.at(job);
+    // The share sum depends on the mask alone: a kernel whose mask
+    // equals the previous kernel's (every MPS kernel) reuses its sum.
+    std::uint64_t prev_mask = 0;
+    double prev_sum = 0;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        RunningKernel &rk = *scratch_kernels_[i];
         if (rk.hung) {
             // A hung kernel never progresses (rate 0 jobs schedule no
             // completion) but keeps its CUs resident, contending with
             // healthy kernels until the watchdog reclaims them.
             rk.bwAlloc = 0;
-            fs.setRate(job, 0.0);
+            fs.setRate(jobs[i], 0.0);
             continue;
         }
+        const std::uint64_t mask = rk.mask.bits();
         double share_sum = 0;
-        for (std::uint64_t bits = rk.mask.bits(); bits != 0;
-             bits &= bits - 1) {
-            const auto cu =
-                static_cast<unsigned>(std::countr_zero(bits));
-            panic_if(resident_[cu] == 0, "running kernel on idle CU");
-            share_sum += scratch_cu_share_[cu];
+        if (mask == prev_mask) {
+            share_sum = prev_sum;
+        } else if ((mask & penalised) == 0) {
+            // Every factor is exactly 1: adding cuCount ones in index
+            // order gives exactly cuCount.
+            share_sum = rk.cuCount;
+        } else {
+            for (std::uint64_t b = mask; b != 0; b &= b - 1) {
+                share_sum += scratch_cu_share_[static_cast<unsigned>(
+                    std::countr_zero(b))];
+            }
         }
-        const double avg_share = share_sum / rk.mask.count();
-        const double t_compute = std::max(
-            timing::computeTimeNs(*rk.desc, rk.mask, arch),
-            minComputeNs);
-        const double compute_rate = avg_share / t_compute;
+        prev_mask = mask;
+        prev_sum = share_sum;
+        const double avg_share = share_sum / rk.cuCount;
+        const double compute_rate = avg_share / rk.tCompute;
 
         double demand = 0;
         if (rk.desc->bytes > 0) {
@@ -569,7 +594,7 @@ GpuDevice::recomputeRates(FluidScheduler &fs)
                 arch.memBwBytesPerNs);
             demand = std::min(compute_rate * rk.desc->bytes, issue_cap);
         }
-        scratch_evals_.push_back(RateEval{job, &rk, compute_rate,
+        scratch_evals_.push_back(RateEval{jobs[i], &rk, compute_rate,
                                           demand});
     }
 
@@ -590,20 +615,11 @@ GpuDevice::recomputeRates(FluidScheduler &fs)
         fs.setRate(e.job, rate);
     }
 
-    // Power state follows the running set.
-    unsigned busy_cus = 0;
-    for (unsigned cu = 0; cu < total_cus; ++cu)
-        if (resident_[cu] > 0)
-            ++busy_cus;
+    // Power state follows the started kernels.
+    const unsigned busy_cus = started_.busyCus();
     unsigned active_ses = 0;
-    for (unsigned se = 0; se < arch.numSe; ++se) {
-        for (unsigned cu = 0; cu < arch.cusPerSe; ++cu) {
-            if (resident_[CuMask::cuIndex(arch, se, cu)] > 0) {
-                ++active_ses;
-                break;
-            }
-        }
-    }
+    for (unsigned se = 0; se < arch.numSe; ++se)
+        active_ses += started_.seKernelSum(se) > 0 ? 1 : 0;
     power_.update(busy_cus, active_ses,
                   bw_used / arch.memBwBytesPerNs);
     if (timeline_ != nullptr) {

@@ -195,6 +195,11 @@ class GpuDevice
          * adoption so rate recomputation does not re-derive it.
          */
         double demand = 0;
+        /** Isolated compute time on the mask (floored), cached at
+         *  adoption like demand. */
+        double tCompute = 0;
+        /** CUs in the mask. */
+        unsigned cuCount = 0;
         /** Injected hang: the fluid job runs at rate 0 forever. */
         bool hung = false;
         /** Injected duration multiplier (1.0 = none). */
@@ -222,11 +227,20 @@ class GpuDevice
     void watchdogFire(JobId job);
     void retireKernel(RunningKernel rk, bool killed);
     void recomputeRates(FluidScheduler &fs);
+
     /** contentionPenalty^k, tabulated as residency counts appear. */
-    double contentionPow(unsigned k);
-    /** Adopt @p rk as running job @p job (residency map updated). */
-    void adoptRunning(JobId job, RunningKernel rk);
-    /** Remove job @p job from the running set (residency updated). */
+    double
+    contentionPow(unsigned k)
+    {
+        return k < contention_pow_.size() ? contention_pow_[k]
+                                          : growContentionPow(k);
+    }
+    /** Extend the table through @p k and return its entry. */
+    double growContentionPow(unsigned k);
+
+    /** Adopt @p rk as running job @p job (started_ updated). */
+    RunningKernel &adoptRunning(JobId job, RunningKernel rk);
+    /** Remove job @p job from the running set (started_ updated). */
     RunningKernel removeRunning(JobId job);
 
     EventQueue &eq_;
@@ -263,20 +277,25 @@ class GpuDevice
     GpuDeviceStats stats_;
 
     /**
-     * Incremental per-CU residency: how many *started* kernels (fluid
-     * jobs) occupy each CU. Updated when kernels join or leave the
-     * running set, so rate recomputation reads it instead of
-     * rebuilding it from scratch on every event.
+     * Per-CU counts of the *started* kernels (fluid jobs), updated as
+     * kernels join and leave the running set. Rate recomputation and
+     * the power model read residency, busy CUs and active SEs from
+     * it. It is not monitor_: Algorithm 1 sees a kernel from dispatch
+     * on, but the kernel occupies no CU during its launch overhead,
+     * so the two counts differ in that window.
      */
-    std::vector<unsigned> resident_;
+    ResourceMonitor started_;
     /** contention_pow_[k] = std::pow(contentionPenalty, k). */
     std::vector<double> contention_pow_;
 
     // Scratch buffers reused across recomputeRates() calls: the
     // dispatch/retire hot path runs allocation-free in steady state.
     std::vector<JobId> scratch_jobs_;
+    /** The running kernel of each job in scratch_jobs_. */
+    std::vector<RunningKernel *> scratch_kernels_;
+    /** Per-CU occupancy demand, valid for busy CUs. */
     std::vector<double> scratch_cu_demand_;
-    /** Per-CU share factor, valid for CUs with a resident kernel. */
+    /** Per-CU share factor, valid for busy CUs. */
     std::vector<double> scratch_cu_share_;
     std::vector<RateEval> scratch_evals_;
     std::vector<double> scratch_demands_;

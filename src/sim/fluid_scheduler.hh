@@ -72,12 +72,19 @@ class FluidScheduler
     double remaining(JobId id) const;
     double rate(JobId id) const;
 
-    /** Ids of all active jobs (unspecified order). */
+    /**
+     * Ids of all active jobs. The order is unspecified but
+     * deterministic: the same sequence of add/cancel/completion calls
+     * yields the same order. GpuDevice's rate function takes it as
+     * the order of its floating-point sums, its bandwidth ties and
+     * (through the rates) its completions, so the golden files pin
+     * it; changing the container changes simulated results.
+     */
     std::vector<JobId> activeJobs() const;
 
     /**
-     * Append the ids of all active jobs to @p out (same order as
-     * activeJobs()). Lets rate functions reuse a scratch vector
+     * Append the ids of all active jobs to @p out, in the order of
+     * activeJobs(). Lets rate functions reuse a scratch vector
      * instead of allocating a copy on every resettle.
      */
     void appendActiveJobs(std::vector<JobId> &out) const;

@@ -376,6 +376,47 @@ TEST(GpuDevice, PowerIdleVsBusy)
     EXPECT_GT(fx.device.power().energyJoules(), 0.0);
 }
 
+TEST(GpuDevice, PowerCountsStartedKernelsOnly)
+{
+    // Kernel a runs on SE 0. Kernel b is dispatched on SE 1 so that
+    // a completes inside b's launch overhead: Algorithm 1's monitor
+    // already counts b, but b occupies no CU yet, so the re-rating at
+    // a's completion leaves the board idle.
+    Fixture fx;
+    HsaQueue &qa = fx.device.createQueue();
+    HsaQueue &qb = fx.device.createQueue();
+    fx.device.setQueueCuMask(qa.id(), CuMask::firstN(15));
+    CuMask se1;
+    for (unsigned cu = 15; cu < 30; ++cu)
+        se1.set(cu);
+    fx.device.setQueueCuMask(qb.id(), se1);
+    const auto ka = computeKernel(150, 1000.0);
+    const Tick a_done =
+        fx.overheadNs() + static_cast<Tick>(timing::computeTimeNs(
+                              *ka, CuMask::firstN(15), arch));
+    qa.push(AqlPacket::dispatch(ka, nullptr));
+    const Tick b_pushed = a_done - fx.cfg.kernelLaunchOverheadNs / 2 -
+                          fx.cfg.packetProcessNs;
+    fx.eq.schedule(b_pushed, [&] {
+        qb.push(AqlPacket::dispatch(computeKernel(150, 1000.0),
+                                    nullptr));
+    });
+    const PowerParams &p = fx.cfg.power;
+    const double one_se_busy = p.idleW + 15 * p.cuActiveW + p.seUncoreW;
+
+    fx.eq.run(a_done - 1);
+    EXPECT_NEAR(fx.device.power().currentPowerW(), one_se_busy, 1e-9);
+    fx.eq.run(a_done);
+    EXPECT_EQ(fx.device.stats().kernelsCompleted, 1u);
+    EXPECT_EQ(fx.device.monitor().residentKernels(), 1u);
+    EXPECT_EQ(fx.device.monitor().busyCus(), 15u);
+    EXPECT_DOUBLE_EQ(fx.device.power().currentPowerW(), p.idleW);
+    fx.eq.run(b_pushed + fx.overheadNs());
+    EXPECT_NEAR(fx.device.power().currentPowerW(), one_se_busy, 1e-9);
+    fx.eq.run();
+    EXPECT_DOUBLE_EQ(fx.device.power().currentPowerW(), p.idleW);
+}
+
 TEST(GpuDevice, EnergyIntegratesOverTime)
 {
     Fixture fx;

@@ -637,6 +637,7 @@ TEST_P(MonitorInvariants, IncrementalStateMatchesRecount)
         }
         ASSERT_EQ(mon.busyCus(), busy_cus);
         ASSERT_EQ(mon.idleCus(), idle);
+        ASSERT_EQ(mon.busyCuMask(), CuMask::full(shape) & ~idle);
         ASSERT_EQ(mon.residentKernels(), resident);
     }
 }
