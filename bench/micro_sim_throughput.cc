@@ -2,11 +2,13 @@
  * @file
  * Simulator throughput microbench: how fast the discrete-event kernel
  * itself retires events (events/sec), how fast one bare GpuDevice
- * retires kernels (kernels/sec), and the end-to-end event rate of a
- * real server simulation. Tracks the hot-path work on EventQueue (flat
- * slots, lazy cancellation + compaction) and on the device's fluid
+ * retires kernels (kernels/sec), how fast a trace sink keeps
+ * kernel-shaped records (records/sec), and the end-to-end event rate
+ * of a real server simulation. Tracks the hot-path work on EventQueue
+ * (flat slots, lazy cancellation + compaction), on the device's fluid
  * rate recomputation (cached per-kernel constants, busy-CU-only
- * passes, one lookup per running kernel) — diff
+ * passes, one lookup per running kernel) and on TraceSink (compact
+ * typed records, per-sink interning, chunked storage) — diff
  * BENCH_micro_sim_throughput.json across revisions.
  *
  * Wall-clock numbers are host-dependent; unlike the figure benches
@@ -15,6 +17,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -124,6 +127,40 @@ deviceKernelsPerSec(unsigned streams, bool krisp, std::uint64_t total)
            secondsSince(start);
 }
 
+/**
+ * Trace-sink rate: the four records a traced kernel writes (dispatch,
+ * a 4-SE workgroup split, the right-size decision and the execution
+ * span) into a retained sink, timed after a warm-up pass that interns
+ * the kernel names.
+ */
+double
+traceKernelRecordsPerSec(std::uint64_t kernels)
+{
+    const std::string names[] = {
+        "resnet152.layer3.conv2d_3x3_bn_relu_b32",
+        "resnet152.layer4.conv2d_1x1_bn_b32",
+        "resnet152.fc.gemm_2048x1000_b32"};
+    const std::vector<unsigned> per_se = {25, 25, 25, 24};
+    TraceSink sink;
+    const auto kernel = [&](std::uint64_t id) {
+        const std::string &name = names[id % 3];
+        const QueueId queue = static_cast<QueueId>(id % 4);
+        sink.kernelDispatch(id, queue, name, 15);
+        sink.wgDispatch(id, queue, 99, per_se);
+        sink.rightSize(name, 15, "native");
+        sink.kernelSpan(id, queue, name, 0x7fffull, 15, 10 * id,
+                        10 * id + 3, 10 * id + 9);
+    };
+    constexpr std::uint64_t warmup = 16;
+    for (std::uint64_t id = 0; id < warmup; ++id)
+        kernel(id);
+    const auto start = std::chrono::steady_clock::now();
+    for (std::uint64_t id = 0; id < kernels; ++id)
+        kernel(id);
+    const double secs = secondsSince(start);
+    return static_cast<double>(sink.size() - 4 * warmup) / secs;
+}
+
 /** Whole-stack rate: one closed-loop server run, events from obs. */
 double
 serverEventsPerSec(double &out_events)
@@ -183,6 +220,13 @@ main()
         }
     }
     device_table.print("device fluid model throughput");
+
+    const double trace_records = traceKernelRecordsPerSec(
+        bench::quickMode() ? 25'000 : 100'000);
+    TextTable trace_table({"records", "records/sec"});
+    trace_table.row().cell("kernel-shaped").cell(trace_records, 0);
+    trace_table.print("trace sink throughput");
+    report.set("trace_kernel_records_per_sec", trace_records);
 
     report.set("chain_events_per_sec", chain);
     report.set("cancel_heavy_events_per_sec", cancel);

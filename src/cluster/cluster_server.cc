@@ -1564,6 +1564,9 @@ ClusterServer::run()
         m.label("cluster.resilience.brownout")
             .set(brownoutLevelName(st.resilience->brownout()));
     }
+    // The sink outlives this run's queues: unbind its clock.
+    if (st.obs != nullptr)
+        st.obs->trace.setClock(nullptr);
     return result;
 }
 

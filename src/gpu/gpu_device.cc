@@ -1,12 +1,14 @@
 #include "gpu/gpu_device.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/logging.hh"
@@ -385,8 +387,10 @@ GpuDevice::dispatchKernel(QueueCtx &ctx, const AqlPacket &pkt,
                                pkt.requestedCus);
         // Even WG split across shader engines active in the mask —
         // the dispatch behaviour behind Fig. 8's imbalance spikes.
+        // Every SE holds at least one CU, so the monitor's CU bound
+        // bounds the SE count.
         const ArchParams &arch = config_.arch;
-        std::vector<unsigned> per_se(arch.numSe, 0);
+        std::array<unsigned, ResourceMonitor::maxCus> per_se{};
         const unsigned active = mask.activeSeCount(arch);
         const unsigned wgs = rk.desc->numWorkgroups;
         unsigned nth = 0;
@@ -397,7 +401,9 @@ GpuDevice::dispatchKernel(QueueCtx &ctx, const AqlPacket &pkt,
                 ++nth;
             }
         }
-        trace_->wgDispatch(rk.id, rk.qid, wgs, per_se);
+        trace_->wgDispatch(rk.id, rk.qid, wgs,
+                           std::span<const unsigned>(per_se.data(),
+                                                     arch.numSe));
     }
 
     eq_.scheduleIn(config_.kernelLaunchOverheadNs,

@@ -37,7 +37,7 @@ resetNonFiniteCount()
 }
 
 std::string
-escape(const std::string &s)
+escape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -65,24 +65,29 @@ escape(const std::string &s)
 }
 
 std::string
-quote(const std::string &s)
+quote(std::string_view s)
 {
     return "\"" + escape(s) + "\"";
+}
+
+double
+finiteOrZero(double v)
+{
+    if (std::isfinite(v))
+        return v;
+    nonfinite_count.fetch_add(1, std::memory_order_relaxed);
+    if (!nonfinite_warned.exchange(true, std::memory_order_relaxed)) {
+        warn("non-finite value in JSON output; emitting 0 "
+             "(further occurrences are only counted — see the "
+             "obs.nonfinite_values metric)");
+    }
+    return 0;
 }
 
 std::string
 number(double v)
 {
-    if (!std::isfinite(v)) {
-        nonfinite_count.fetch_add(1, std::memory_order_relaxed);
-        if (!nonfinite_warned.exchange(true,
-                                       std::memory_order_relaxed)) {
-            warn("non-finite value in JSON output; emitting 0 "
-                 "(further occurrences are only counted — see the "
-                 "obs.nonfinite_values metric)");
-        }
-        return "0";
-    }
+    v = finiteOrZero(v);
     char buf[32];
     const auto res = std::to_chars(buf, buf + sizeof(buf), v);
     panic_if(res.ec != std::errc(), "to_chars failed for double");

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace krisp
 {
@@ -20,10 +21,10 @@ namespace json
 {
 
 /** Escape a string body per RFC 8259 (no surrounding quotes). */
-std::string escape(const std::string &s);
+std::string escape(std::string_view s);
 
 /** Escaped and double-quoted string literal. */
-std::string quote(const std::string &s);
+std::string quote(std::string_view s);
 
 /**
  * Shortest round-trip decimal for a double. Non-finite values (which
@@ -34,6 +35,13 @@ std::string quote(const std::string &s);
  * the log.
  */
 std::string number(double v);
+
+/**
+ * @p v itself when finite; otherwise 0, counted and warned about
+ * exactly as number() does. For callers that store a double now and
+ * format it later: the count lands where the value is made.
+ */
+double finiteOrZero(double v);
 
 std::string number(std::uint64_t v);
 std::string number(std::int64_t v);

@@ -228,30 +228,36 @@ TimelineRecorder::emitCounterTracks(TraceSink &sink) const
         const auto &w = windows_[i];
         const Tick ts = Tick(i) * window_ns_;
         sink.counter("timeline.rps", tracePidServer, ts,
-                     {TraceArg::f64("rps",
+                     {TraceArg::f64(sink.intern("rps"),
                                     double(w.requests) / window_s),
-                      TraceArg::f64("drops_per_s",
+                      TraceArg::f64(sink.intern("drops_per_s"),
                                     double(w.drops) / window_s)});
         if (!w.latencyMs.empty()) {
             sink.counter(
                 "timeline.latency_ms", tracePidServer, ts,
-                {TraceArg::f64("p50", w.latencyMs.percentile(0.50)),
-                 TraceArg::f64("p99", w.latencyMs.percentile(0.99))});
+                {TraceArg::f64(sink.intern("p50"),
+                               w.latencyMs.percentile(0.50)),
+                 TraceArg::f64(sink.intern("p99"),
+                               w.latencyMs.percentile(0.99))});
         }
         if (w.coveredNs > 0) {
             const double covered = double(w.coveredNs);
             sink.counter(
                 "timeline.cu_busy", tracePidGpu, ts,
-                {TraceArg::f64("cus", w.cuBusyIntegral / covered)});
+                {TraceArg::f64(sink.intern("cus"),
+                               w.cuBusyIntegral / covered)});
             sink.counter(
                 "timeline.watts", tracePidGpu, ts,
-                {TraceArg::f64("watts", w.wattsIntegral / covered)});
+                {TraceArg::f64(sink.intern("watts"),
+                               w.wattsIntegral / covered)});
         }
         sink.counter("timeline.protocol", tracePidHost, ts,
-                     {TraceArg::u64("ioctls", w.ioctls),
-                      TraceArg::u64("barriers", w.barriers),
-                      TraceArg::u64("reconfigs", w.reconfigs),
-                      TraceArg::u64("elisions", w.elisions)});
+                     {TraceArg::u64(sink.intern("ioctls"), w.ioctls),
+                      TraceArg::u64(sink.intern("barriers"), w.barriers),
+                      TraceArg::u64(sink.intern("reconfigs"),
+                                    w.reconfigs),
+                      TraceArg::u64(sink.intern("elisions"),
+                                    w.elisions)});
     }
 }
 

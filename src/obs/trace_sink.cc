@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -123,34 +123,121 @@ ticksToUsJson(Tick t)
     return json::number(static_cast<double>(t) / 1e3);
 }
 
+/**
+ * Keys and names of the domain helpers, with fixed ids (their index)
+ * in every sink; a sink's own interned strings get ids after them.
+ */
+constexpr std::string_view fixedStrings[] = {
+    "kid", "requested_cus", "mask", "cus", "dispatch_ns",
+    "queue_delay_ns", "wgs", "queue", "which", "deps", "backlog",
+    "queued_ns", "kernel", "mode", "how", "model", "request", "worker",
+    "site", "target", "magnitude", "reason", "value", "phase",
+    "wg-dispatch", "mask-reconfig", "barrier-inject", "barrier",
+    "ioctl-submit", "ioctl", "right-size", "elide", "enqueue", "drop",
+    "request.flow",
+};
+constexpr auto numFixedStrings =
+    static_cast<TraceStrId>(std::size(fixedStrings));
+
+/** Id of a fixed string; one missing from the table does not compile. */
+consteval TraceStrId
+fixed(std::string_view s)
+{
+    for (TraceStrId id = 0; id < numFixedStrings; ++id) {
+        if (fixedStrings[id] == s)
+            return id;
+    }
+    throw "not a fixed trace string";
+}
+
+/** An argument's JSON value, with today's formatters. */
+void
+appendArgValue(std::string &out, const TraceSink &sink,
+               const TraceArg &arg)
+{
+    switch (arg.type) {
+      case TraceArg::Type::U64:
+        out += json::number(arg.payload);
+        return;
+      case TraceArg::Type::F64:
+        out += json::number(std::bit_cast<double>(arg.payload));
+        return;
+      case TraceArg::Type::Str:
+        out += json::quote(sink.str(static_cast<TraceStrId>(arg.payload)));
+        return;
+      case TraceArg::Type::Hex: {
+        char buf[24];
+        std::snprintf(buf, sizeof(buf), "\"0x%016llx\"",
+                      static_cast<unsigned long long>(arg.payload));
+        out += buf;
+        return;
+      }
+    }
+}
+
+/**
+ * Write one Chrome trace event to the "traceEvents" array on @p os,
+ * preceded by a comma unless it is @p first; @p arg .. @p end are its
+ * arguments and @p out is a reused buffer.
+ */
+template <class ArgIt>
+void
+writeEvent(std::ostream &os, std::string &out, bool &first,
+           const TraceSink &sink, const TraceRecord &rec, ArgIt arg,
+           ArgIt end)
+{
+    out.clear();
+    if (!first)
+        out += ',';
+    first = false;
+    out += "{\"name\":";
+    out += json::quote(sink.str(rec.nameId));
+    out += ",\"cat\":";
+    out += json::quote(kindCategory(rec.kind));
+    out += ",\"ph\":\"";
+    out += rec.phase;
+    out += "\",\"ts\":";
+    out += ticksToUsJson(rec.ts);
+    if (rec.phase == 'X') {
+        out += ",\"dur\":";
+        out += ticksToUsJson(rec.dur);
+    }
+    if (rec.phase == 'i')
+        out += ",\"s\":\"t\"";
+    if (rec.phase == 's' || rec.phase == 't' || rec.phase == 'f') {
+        out += ",\"id\":";
+        out += json::number(rec.flowId);
+        // Bind the terminating arrow to the enclosing slice so
+        // Perfetto draws it into the request span, not past it.
+        if (rec.phase == 'f')
+            out += ",\"bp\":\"e\"";
+    }
+    out += ",\"pid\":";
+    out += json::number(std::uint64_t(rec.pid));
+    out += ",\"tid\":";
+    out += json::number(std::uint64_t(rec.tid));
+    out += ",\"args\":{";
+    // Counter tracks render every arg as a series; keep them pure
+    // numbers (no "kind" tag, which would become a bogus series).
+    bool first_arg = true;
+    if (rec.phase != 'C') {
+        out += "\"kind\":";
+        out += json::quote(traceEventKindName(rec.kind));
+        first_arg = false;
+    }
+    for (; arg != end; ++arg) {
+        if (!first_arg)
+            out += ',';
+        first_arg = false;
+        out += json::quote(sink.str(arg->key));
+        out += ':';
+        appendArgValue(out, sink, *arg);
+    }
+    out += "}}";
+    os.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
 } // namespace
-
-TraceArg
-TraceArg::u64(std::string key, std::uint64_t v)
-{
-    return TraceArg{std::move(key), json::number(v)};
-}
-
-TraceArg
-TraceArg::f64(std::string key, double v)
-{
-    return TraceArg{std::move(key), json::number(v)};
-}
-
-TraceArg
-TraceArg::str(std::string key, const std::string &v)
-{
-    return TraceArg{std::move(key), json::quote(v)};
-}
-
-TraceArg
-TraceArg::hex(std::string key, std::uint64_t bits)
-{
-    char buf[24];
-    std::snprintf(buf, sizeof(buf), "\"0x%016llx\"",
-                  static_cast<unsigned long long>(bits));
-    return TraceArg{std::move(key), buf};
-}
 
 TraceSink::TraceSink(const EventQueue *clock) : clock_(clock) {}
 
@@ -167,24 +254,41 @@ TraceSink::sampleRequest(std::uint64_t id) const
     return hashRequestId(id) % sample_ == 0;
 }
 
+TraceStrId
+TraceSink::intern(std::string_view s)
+{
+    const auto it = ids_.find(s);
+    if (it != ids_.end())
+        return it->second;
+    const auto id =
+        static_cast<TraceStrId>(numFixedStrings + strings_.size());
+    ids_.emplace(strings_.emplace_back(s), id);
+    return id;
+}
+
+std::string_view
+TraceSink::str(TraceStrId id) const
+{
+    if (id < numFixedStrings)
+        return fixedStrings[id];
+    return strings_[id - numFixedStrings];
+}
+
+TraceStrId
+TraceSink::seKey(std::size_t se)
+{
+    while (se_keys_.size() <= se)
+        se_keys_.push_back(
+            intern("se" + std::to_string(se_keys_.size())));
+    return se_keys_[se];
+}
+
 void
-TraceSink::push(TraceRecord rec)
+TraceSink::record(TraceRecord rec, std::span<const TraceArg> args)
 {
     if (!enabled_)
         return;
-    if (stream_ != nullptr) {
-        // Streaming mode: serialise immediately, retain nothing, so
-        // the record limit (a memory bound) does not apply.
-        rec.seq = next_seq_++;
-        rec.recordedAt = now();
-        noteTrack(rec);
-        if (!stream_first_)
-            *stream_ << ",";
-        stream_first_ = false;
-        serializeRecord(*stream_, rec);
-        return;
-    }
-    if (records_.size() >= limit_) {
+    if (stream_ == nullptr && records_.size() >= limit_) {
         ++dropped_;
         if (!limit_warned_) {
             warn("trace sink hit its record limit (", limit_,
@@ -196,13 +300,27 @@ TraceSink::push(TraceRecord rec)
     }
     rec.seq = next_seq_++;
     rec.recordedAt = now();
-    records_.push_back(std::move(rec));
+    if (stream_ != nullptr) {
+        // Streaming mode: serialise immediately, retain nothing, so
+        // the record limit (a memory bound) does not apply.
+        stream_tracks_.insert({rec.pid, rec.tid});
+        writeEvent(*stream_, stream_buf_, stream_first_, *this, rec,
+                   args.begin(), args.end());
+        return;
+    }
+    panic_if(args.size() > std::numeric_limits<std::uint32_t>::max() -
+                               args_.size(),
+             "trace argument store overflows its 32-bit offsets");
+    rec.argOffset = static_cast<std::uint32_t>(args_.size());
+    rec.argCount = static_cast<std::uint32_t>(args.size());
+    for (const TraceArg &arg : args)
+        args_.push_back(arg);
+    records_.push_back(rec);
 }
 
-void
-TraceSink::instant(TraceEventKind kind, std::string name,
-                   std::uint32_t pid, std::uint32_t tid,
-                   std::vector<TraceArg> args)
+TraceRecord
+TraceSink::instantAt(TraceEventKind kind, TraceStrId name,
+                     std::uint32_t pid, std::uint32_t tid) const
 {
     TraceRecord rec;
     rec.ts = now();
@@ -210,15 +328,14 @@ TraceSink::instant(TraceEventKind kind, std::string name,
     rec.phase = 'i';
     rec.pid = pid;
     rec.tid = tid;
-    rec.name = std::move(name);
-    rec.args = std::move(args);
-    push(std::move(rec));
+    rec.nameId = name;
+    return rec;
 }
 
-void
-TraceSink::span(TraceEventKind kind, std::string name,
-                std::uint32_t pid, std::uint32_t tid, Tick start,
-                Tick end, std::vector<TraceArg> args)
+TraceRecord
+TraceSink::spanOver(TraceEventKind kind, TraceStrId name,
+                    std::uint32_t pid, std::uint32_t tid, Tick start,
+                    Tick end) const
 {
     panic_if(end < start, "trace span ends before it starts");
     TraceRecord rec;
@@ -228,9 +345,35 @@ TraceSink::span(TraceEventKind kind, std::string name,
     rec.phase = 'X';
     rec.pid = pid;
     rec.tid = tid;
-    rec.name = std::move(name);
-    rec.args = std::move(args);
-    push(std::move(rec));
+    rec.nameId = name;
+    return rec;
+}
+
+TraceRecord
+TraceSink::flowAt(char phase, std::uint64_t request, std::uint32_t pid,
+                  std::uint32_t tid) const
+{
+    TraceRecord rec = instantAt(TraceEventKind::RequestFlow,
+                                fixed("request.flow"), pid, tid);
+    rec.phase = phase;
+    rec.flowId = request;
+    return rec;
+}
+
+void
+TraceSink::instant(TraceEventKind kind, std::string_view name,
+                   std::uint32_t pid, std::uint32_t tid,
+                   std::initializer_list<TraceArg> args)
+{
+    record(instantAt(kind, intern(name), pid, tid), args);
+}
+
+void
+TraceSink::span(TraceEventKind kind, std::string_view name,
+                std::uint32_t pid, std::uint32_t tid, Tick start,
+                Tick end, std::initializer_list<TraceArg> args)
+{
+    record(spanOver(kind, intern(name), pid, tid, start, end), args);
 }
 
 void
@@ -238,9 +381,10 @@ TraceSink::kernelDispatch(KernelId id, QueueId queue,
                           const std::string &name,
                           unsigned requestedCus)
 {
-    instant(TraceEventKind::KernelDispatch, name, tracePidGpu, queue,
-            {TraceArg::u64("kid", id),
-             TraceArg::u64("requested_cus", requestedCus)});
+    record(instantAt(TraceEventKind::KernelDispatch, intern(name),
+                     tracePidGpu, queue),
+           {TraceArg::u64(fixed("kid"), id),
+            TraceArg::u64(fixed("requested_cus"), requestedCus)});
 }
 
 void
@@ -248,90 +392,92 @@ TraceSink::kernelSpan(KernelId id, QueueId queue,
                       const std::string &name, std::uint64_t maskBits,
                       unsigned cus, Tick dispatch, Tick start, Tick end)
 {
-    span(TraceEventKind::KernelSpan, name, tracePidGpu, queue, start,
-         end,
-         {TraceArg::u64("kid", id), TraceArg::hex("mask", maskBits),
-          TraceArg::u64("cus", cus),
-          TraceArg::u64("dispatch_ns", dispatch),
-          TraceArg::u64("queue_delay_ns", start - dispatch)});
+    record(spanOver(TraceEventKind::KernelSpan, intern(name),
+                    tracePidGpu, queue, start, end),
+           {TraceArg::u64(fixed("kid"), id),
+            TraceArg::hex(fixed("mask"), maskBits),
+            TraceArg::u64(fixed("cus"), cus),
+            TraceArg::u64(fixed("dispatch_ns"), dispatch),
+            TraceArg::u64(fixed("queue_delay_ns"), start - dispatch)});
 }
 
 void
 TraceSink::wgDispatch(KernelId id, QueueId queue, unsigned workgroups,
-                      const std::vector<unsigned> &perSeWgs)
+                      std::span<const unsigned> perSeWgs)
 {
-    std::vector<TraceArg> args;
-    args.push_back(TraceArg::u64("kid", id));
-    args.push_back(TraceArg::u64("wgs", workgroups));
-    for (std::size_t se = 0; se < perSeWgs.size(); ++se) {
-        args.push_back(TraceArg::u64("se" + std::to_string(se),
-                                     perSeWgs[se]));
-    }
-    instant(TraceEventKind::WgDispatch, "wg-dispatch", tracePidGpu,
-            queue, std::move(args));
+    arg_buf_.clear();
+    arg_buf_.push_back(TraceArg::u64(fixed("kid"), id));
+    arg_buf_.push_back(TraceArg::u64(fixed("wgs"), workgroups));
+    for (std::size_t se = 0; se < perSeWgs.size(); ++se)
+        arg_buf_.push_back(TraceArg::u64(seKey(se), perSeWgs[se]));
+    record(instantAt(TraceEventKind::WgDispatch, fixed("wg-dispatch"),
+                     tracePidGpu, queue),
+           arg_buf_);
 }
 
 void
 TraceSink::maskReconfig(QueueId queue, std::uint64_t maskBits,
                         unsigned cus)
 {
-    instant(TraceEventKind::MaskReconfig, "mask-reconfig", tracePidGpu,
-            queue,
-            {TraceArg::hex("mask", maskBits),
-             TraceArg::u64("cus", cus)});
+    record(instantAt(TraceEventKind::MaskReconfig, fixed("mask-reconfig"),
+                     tracePidGpu, queue),
+           {TraceArg::hex(fixed("mask"), maskBits),
+            TraceArg::u64(fixed("cus"), cus)});
 }
 
 void
 TraceSink::barrierInject(QueueId queue, const char *which)
 {
-    instant(TraceEventKind::BarrierInject, "barrier-inject",
-            tracePidHost, traceTidRuntime,
-            {TraceArg::u64("queue", queue),
-             TraceArg::str("which", which)});
+    record(instantAt(TraceEventKind::BarrierInject, fixed("barrier-inject"),
+                     tracePidHost, traceTidRuntime),
+           {TraceArg::u64(fixed("queue"), queue),
+            TraceArg::str(fixed("which"), intern(which))});
 }
 
 void
 TraceSink::barrierProcess(QueueId queue, unsigned deps)
 {
-    instant(TraceEventKind::BarrierProcess, "barrier", tracePidGpu,
-            queue, {TraceArg::u64("deps", deps)});
+    record(instantAt(TraceEventKind::BarrierProcess, fixed("barrier"),
+                     tracePidGpu, queue),
+           {TraceArg::u64(fixed("deps"), deps)});
 }
 
 void
 TraceSink::ioctlSubmit(std::size_t backlog)
 {
-    instant(TraceEventKind::IoctlSubmit, "ioctl-submit", tracePidHost,
-            traceTidIoctl, {TraceArg::u64("backlog", backlog)});
+    record(instantAt(TraceEventKind::IoctlSubmit, fixed("ioctl-submit"),
+                     tracePidHost, traceTidIoctl),
+           {TraceArg::u64(fixed("backlog"), backlog)});
 }
 
 void
 TraceSink::ioctlSpan(Tick start, Tick end, Tick queuedNs)
 {
-    span(TraceEventKind::IoctlSpan, "ioctl", tracePidHost,
-         traceTidIoctl, start, end,
-         {TraceArg::u64("queued_ns", queuedNs)});
+    record(spanOver(TraceEventKind::IoctlSpan, fixed("ioctl"), tracePidHost,
+                    traceTidIoctl, start, end),
+           {TraceArg::u64(fixed("queued_ns"), queuedNs)});
 }
 
 void
 TraceSink::rightSize(const std::string &kernel, unsigned requestedCus,
                      const char *mode)
 {
-    instant(TraceEventKind::RightSize, "right-size", tracePidHost,
-            traceTidRuntime,
-            {TraceArg::str("kernel", kernel),
-             TraceArg::u64("requested_cus", requestedCus),
-             TraceArg::str("mode", mode)});
+    record(instantAt(TraceEventKind::RightSize, fixed("right-size"),
+                     tracePidHost, traceTidRuntime),
+           {TraceArg::str(fixed("kernel"), intern(kernel)),
+            TraceArg::u64(fixed("requested_cus"), requestedCus),
+            TraceArg::str(fixed("mode"), intern(mode))});
 }
 
 void
 TraceSink::reconfigElide(QueueId queue, unsigned requestedCus,
                          const char *how)
 {
-    instant(TraceEventKind::ReconfigElide, "elide", tracePidHost,
-            traceTidRuntime,
-            {TraceArg::u64("queue", queue),
-             TraceArg::u64("requested_cus", requestedCus),
-             TraceArg::str("how", how)});
+    record(instantAt(TraceEventKind::ReconfigElide, fixed("elide"),
+                     tracePidHost, traceTidRuntime),
+           {TraceArg::u64(fixed("queue"), queue),
+            TraceArg::u64(fixed("requested_cus"), requestedCus),
+            TraceArg::str(fixed("how"), intern(how))});
 }
 
 void
@@ -340,10 +486,10 @@ TraceSink::requestEnqueue(WorkerId worker, const std::string &model,
 {
     if (!sampleRequest(request))
         return;
-    instant(TraceEventKind::RequestEnqueue, "enqueue", tracePidServer,
-            worker,
-            {TraceArg::str("model", model),
-             TraceArg::u64("request", request)});
+    record(instantAt(TraceEventKind::RequestEnqueue, fixed("enqueue"),
+                     tracePidServer, worker),
+           {TraceArg::str(fixed("model"), intern(model)),
+            TraceArg::u64(fixed("request"), request)});
 }
 
 void
@@ -352,25 +498,29 @@ TraceSink::requestSpan(WorkerId worker, const std::string &model,
 {
     if (!sampleRequest(request))
         return;
-    span(TraceEventKind::RequestSpan, model, tracePidServer, worker,
-         start, end,
-         {TraceArg::u64("request", request),
-          TraceArg::u64("worker", worker),
-          TraceArg::str("model", model)});
+    const TraceStrId name = intern(model);
+    record(spanOver(TraceEventKind::RequestSpan, name, tracePidServer,
+                    worker, start, end),
+           {TraceArg::u64(fixed("request"), request),
+            TraceArg::u64(fixed("worker"), worker),
+            TraceArg::str(fixed("model"), name)});
 }
 
 void
 TraceSink::faultInject(const char *site, const std::string &target,
                        double magnitude)
 {
-    std::vector<TraceArg> args;
-    args.push_back(TraceArg::str("site", site));
+    const TraceStrId name = intern(site);
+    TraceArg args[3];
+    std::size_t n = 0;
+    args[n++] = TraceArg::str(fixed("site"), name);
     if (!target.empty())
-        args.push_back(TraceArg::str("target", target));
+        args[n++] = TraceArg::str(fixed("target"), intern(target));
     if (magnitude != 0)
-        args.push_back(TraceArg::f64("magnitude", magnitude));
-    instant(TraceEventKind::FaultInject, site, tracePidHost,
-            traceTidFault, std::move(args));
+        args[n++] = TraceArg::f64(fixed("magnitude"), magnitude);
+    record(instantAt(TraceEventKind::FaultInject, name, tracePidHost,
+                     traceTidFault),
+           std::span<const TraceArg>(args, n));
 }
 
 void
@@ -379,23 +529,25 @@ TraceSink::requestDrop(WorkerId worker, const std::string &model,
 {
     if (!sampleRequest(request))
         return;
-    instant(TraceEventKind::RequestDrop, "drop", tracePidServer,
-            worker,
-            {TraceArg::str("model", model),
-             TraceArg::u64("request", request),
-             TraceArg::str("reason", reason)});
+    record(instantAt(TraceEventKind::RequestDrop, fixed("drop"),
+                     tracePidServer, worker),
+           {TraceArg::str(fixed("model"), intern(model)),
+            TraceArg::u64(fixed("request"), request),
+            TraceArg::str(fixed("reason"), intern(reason))});
 }
 
 void
 TraceSink::recovery(const char *action, const std::string &target,
                     std::uint64_t value)
 {
-    std::vector<TraceArg> args;
+    TraceArg args[2];
+    std::size_t n = 0;
     if (!target.empty())
-        args.push_back(TraceArg::str("target", target));
-    args.push_back(TraceArg::u64("value", value));
-    instant(TraceEventKind::RecoveryAction, action, tracePidHost,
-            traceTidFault, std::move(args));
+        args[n++] = TraceArg::str(fixed("target"), intern(target));
+    args[n++] = TraceArg::u64(fixed("value"), value);
+    record(instantAt(TraceEventKind::RecoveryAction, intern(action),
+                     tracePidHost, traceTidFault),
+           std::span<const TraceArg>(args, n));
 }
 
 void
@@ -405,34 +557,13 @@ TraceSink::requestPhase(WorkerId worker, const std::string &model,
 {
     if (!sampleRequest(request))
         return;
-    span(TraceEventKind::RequestPhase,
-         std::string("phase.") + phaseName, tracePidServer, worker,
-         start, end,
-         {TraceArg::u64("request", request),
-          TraceArg::str("model", model),
-          TraceArg::str("phase", phaseName)});
+    record(spanOver(TraceEventKind::RequestPhase,
+                    intern(std::string("phase.") + phaseName),
+                    tracePidServer, worker, start, end),
+           {TraceArg::u64(fixed("request"), request),
+            TraceArg::str(fixed("model"), intern(model)),
+            TraceArg::str(fixed("phase"), intern(phaseName))});
 }
-
-namespace
-{
-
-TraceRecord
-flowRecord(char phase, std::uint64_t request, std::uint32_t pid,
-           std::uint32_t tid, Tick ts)
-{
-    TraceRecord rec;
-    rec.ts = ts;
-    rec.kind = TraceEventKind::RequestFlow;
-    rec.phase = phase;
-    rec.pid = pid;
-    rec.tid = tid;
-    rec.flowId = request;
-    rec.name = "request.flow";
-    rec.args.push_back(TraceArg::u64("request", request));
-    return rec;
-}
-
-} // namespace
 
 void
 TraceSink::requestFlowBegin(std::uint64_t request, std::uint32_t pid,
@@ -440,7 +571,8 @@ TraceSink::requestFlowBegin(std::uint64_t request, std::uint32_t pid,
 {
     if (!sampleRequest(request))
         return;
-    push(flowRecord('s', request, pid, tid, now()));
+    record(flowAt('s', request, pid, tid),
+           {TraceArg::u64(fixed("request"), request)});
 }
 
 void
@@ -449,7 +581,8 @@ TraceSink::requestFlowStep(std::uint64_t request, std::uint32_t pid,
 {
     if (!sampleRequest(request))
         return;
-    push(flowRecord('t', request, pid, tid, now()));
+    record(flowAt('t', request, pid, tid),
+           {TraceArg::u64(fixed("request"), request)});
 }
 
 void
@@ -458,12 +591,13 @@ TraceSink::requestFlowEnd(std::uint64_t request, std::uint32_t pid,
 {
     if (!sampleRequest(request))
         return;
-    push(flowRecord('f', request, pid, tid, now()));
+    record(flowAt('f', request, pid, tid),
+           {TraceArg::u64(fixed("request"), request)});
 }
 
 void
-TraceSink::counter(const std::string &name, std::uint32_t pid, Tick ts,
-                   std::vector<TraceArg> values)
+TraceSink::counter(std::string_view name, std::uint32_t pid, Tick ts,
+                   std::initializer_list<TraceArg> values)
 {
     TraceRecord rec;
     rec.ts = ts;
@@ -471,15 +605,28 @@ TraceSink::counter(const std::string &name, std::uint32_t pid, Tick ts,
     rec.phase = 'C';
     rec.pid = pid;
     rec.tid = 0;
-    rec.name = name;
-    rec.args = std::move(values);
-    push(std::move(rec));
+    rec.nameId = intern(name);
+    record(rec, values);
+}
+
+std::vector<std::pair<std::string, std::string>>
+TraceSink::args(const TraceRecord &rec) const
+{
+    std::vector<std::pair<std::string, std::string>> out;
+    const auto first = args_.begin() + rec.argOffset;
+    for (auto it = first; it != first + rec.argCount; ++it) {
+        std::string value;
+        appendArgValue(value, *this, *it);
+        out.emplace_back(std::string(str(it->key)), std::move(value));
+    }
+    return out;
 }
 
 void
 TraceSink::clear()
 {
     records_.clear();
+    args_.clear();
     next_seq_ = 0;
     limit_warned_ = false;
     dropped_ = 0;
@@ -520,44 +667,6 @@ writeTrackMetadata(
 } // namespace
 
 void
-TraceSink::serializeRecord(std::ostream &os,
-                           const TraceRecord &rec) const
-{
-    os << "{\"name\":" << json::quote(rec.name)
-       << ",\"cat\":" << json::quote(kindCategory(rec.kind))
-       << ",\"ph\":\"" << rec.phase << "\""
-       << ",\"ts\":" << ticksToUsJson(rec.ts);
-    if (rec.phase == 'X')
-        os << ",\"dur\":" << ticksToUsJson(rec.dur);
-    if (rec.phase == 'i')
-        os << ",\"s\":\"t\"";
-    if (rec.phase == 's' || rec.phase == 't' || rec.phase == 'f') {
-        os << ",\"id\":" << json::number(rec.flowId);
-        // Bind the terminating arrow to the enclosing slice so
-        // Perfetto draws it into the request span, not past it.
-        if (rec.phase == 'f')
-            os << ",\"bp\":\"e\"";
-    }
-    os << ",\"pid\":" << json::number(std::uint64_t(rec.pid))
-       << ",\"tid\":" << json::number(std::uint64_t(rec.tid))
-       << ",\"args\":{";
-    // Counter tracks render every arg as a series; keep them pure
-    // numbers (no "kind" tag, which would become a bogus series).
-    bool first_arg = true;
-    if (rec.phase != 'C') {
-        os << "\"kind\":" << json::quote(traceEventKindName(rec.kind));
-        first_arg = false;
-    }
-    for (const auto &arg : rec.args) {
-        if (!first_arg)
-            os << ",";
-        first_arg = false;
-        os << json::quote(arg.key) << ":" << arg.json;
-    }
-    os << "}}";
-}
-
-void
 TraceSink::writeChromeJson(std::ostream &os) const
 {
     os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
@@ -570,19 +679,12 @@ TraceSink::writeChromeJson(std::ostream &os) const
         tracks.insert({rec.pid, rec.tid});
     writeTrackMetadata(os, first, tracks);
 
+    std::string buf;
     for (const auto &rec : records_) {
-        if (!first)
-            os << ",";
-        first = false;
-        serializeRecord(os, rec);
+        const auto arg = args_.begin() + rec.argOffset;
+        writeEvent(os, buf, first, *this, rec, arg, arg + rec.argCount);
     }
     os << "]}\n";
-}
-
-void
-TraceSink::noteTrack(const TraceRecord &rec)
-{
-    stream_tracks_.insert({rec.pid, rec.tid});
 }
 
 bool

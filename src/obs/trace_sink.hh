@@ -8,6 +8,28 @@
  * simulated time, and exports them as Chrome trace-event JSON (loads
  * directly in Perfetto / chrome://tracing).
  *
+ * Record layout: a TraceRecord is a fixed 64-byte value that owns
+ * nothing. Its name is an id into the sink's string table, and its
+ * arguments are an (offset, count) slice of the sink's argument store,
+ * where each TraceArg is 16 bytes: an interned key id, a type tag and
+ * a 64-bit payload (u64, f64 bits, interned string id or hex mask).
+ * JSON is rendered only at export — or, while streaming, as each
+ * record is made — with the same formatters either way, so the bytes
+ * do not depend on how a record was stored.
+ *
+ * Interning is per sink: there is no global table, so sinks on
+ * parallel islands share nothing and traces are byte-identical at any
+ * --jobs. The domain helpers' keys and fixed names have constant ids;
+ * the recording path hashes only kernel / model names and string
+ * values. Records and arguments live in chunked storage (std::deque),
+ * so growth never copies them; once its strings are interned, a
+ * record makes no heap allocation of its own beyond the occasional
+ * new chunk (about 0.25 per kernel-shaped record).
+ *
+ * One path: every helper fills one record and its arguments and hands
+ * them to record(), which drops them (disabled sink, record limit),
+ * keeps them, or serialises them straight to the open stream.
+ *
  * Cost model: every record helper is guarded by enabled(); callers
  * additionally wrap call sites in KRISP_TRACE_EVENT so a disabled
  * sink costs one pointer test and argument evaluation is skipped.
@@ -22,16 +44,23 @@
 #ifndef KRISP_OBS_TRACE_SINK_HH
 #define KRISP_OBS_TRACE_SINK_HH
 
+#include <bit>
 #include <cstdint>
+#include <deque>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <set>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/json.hh"
 #include "sim/event_queue.hh"
 
 namespace krisp
@@ -78,36 +107,77 @@ constexpr std::uint32_t traceTidFault = 2;
  */
 constexpr std::uint32_t traceTidRouter = 0xFFFFu;
 
-/** One key plus a pre-encoded JSON value. */
+/** Id of a string interned in one TraceSink (a name, key or value). */
+using TraceStrId = std::uint32_t;
+
+/** One argument: an interned key plus a typed 64-bit payload. */
 struct TraceArg
 {
-    std::string key;
-    std::string json;
+    enum class Type : std::uint8_t
+    {
+        U64, ///< unsigned integer
+        F64, ///< finite double, stored as its bits
+        Str, ///< interned string id, rendered quoted and escaped
+        Hex, ///< 64-bit mask, rendered "0x%016llx" in quotes
+    };
 
-    static TraceArg u64(std::string key, std::uint64_t v);
-    static TraceArg f64(std::string key, double v);
-    static TraceArg str(std::string key, const std::string &v);
+    std::uint64_t payload = 0;
+    TraceStrId key = 0;
+    Type type = Type::U64;
+
+    static TraceArg
+    u64(TraceStrId key, std::uint64_t v)
+    {
+        return {v, key, Type::U64};
+    }
+
+    /**
+     * A non-finite @p v is clamped to 0 and counted here, where the
+     * argument is made (json::finiteOrZero), whether or not the
+     * record is then kept.
+     */
+    static TraceArg
+    f64(TraceStrId key, double v)
+    {
+        return {std::bit_cast<std::uint64_t>(json::finiteOrZero(v)), key,
+                Type::F64};
+    }
+
+    /** @p value is an id from the same sink's intern(). */
+    static TraceArg
+    str(TraceStrId key, TraceStrId value)
+    {
+        return {value, key, Type::Str};
+    }
+
     /** 64-bit mask rendered as a hex string ("0x0fff..."). */
-    static TraceArg hex(std::string key, std::uint64_t bits);
+    static TraceArg
+    hex(TraceStrId key, std::uint64_t bits)
+    {
+        return {bits, key, Type::Hex};
+    }
 };
+static_assert(sizeof(TraceArg) == 16, "TraceArg is one 16-byte value");
 
-/** One recorded event. */
+/** One recorded event; owns nothing (see the file comment). */
 struct TraceRecord
 {
     std::uint64_t seq = 0; ///< stable tie-break, insertion order
     Tick ts = 0;           ///< event start, simulated ns
     Tick dur = 0;          ///< span duration (0 for instants)
     Tick recordedAt = 0;   ///< simulated time the record was made
+    /** Flow-binding id ('s'/'t'/'f' phases); 0 everywhere else. */
+    std::uint64_t flowId = 0;
+    std::uint32_t pid = 0;
+    std::uint32_t tid = 0;
+    TraceStrId nameId = 0;       ///< read back with TraceSink::name()
+    std::uint32_t argOffset = 0; ///< first argument in the sink's store
+    std::uint32_t argCount = 0;  ///< read back with TraceSink::args()
     TraceEventKind kind{};
     /** Chrome phase: 'X' span, 'i' instant, 'C' counter, 's'/'t'/'f' flow. */
     char phase = 'i';
-    std::uint32_t pid = 0;
-    std::uint32_t tid = 0;
-    /** Flow-binding id ('s'/'t'/'f' phases); 0 everywhere else. */
-    std::uint64_t flowId = 0;
-    std::string name;
-    std::vector<TraceArg> args;
 };
+static_assert(sizeof(TraceRecord) == 64, "TraceRecord is one 64-byte value");
 
 /** Records typed events in simulated-time order and exports them. */
 class TraceSink
@@ -160,13 +230,19 @@ class TraceSink
     void closeStream();
     bool streaming() const { return stream_ != nullptr; }
 
+    // ---- strings ------------------------------------------------
+    /** Id of @p s in this sink's string table, added if new. */
+    TraceStrId intern(std::string_view s);
+    /** Text of an id from intern() (or of a helper's fixed string). */
+    std::string_view str(TraceStrId id) const;
+
     // ---- generic record API -------------------------------------
-    void instant(TraceEventKind kind, std::string name,
+    void instant(TraceEventKind kind, std::string_view name,
                  std::uint32_t pid, std::uint32_t tid,
-                 std::vector<TraceArg> args = {});
-    void span(TraceEventKind kind, std::string name, std::uint32_t pid,
-              std::uint32_t tid, Tick start, Tick end,
-              std::vector<TraceArg> args = {});
+                 std::initializer_list<TraceArg> args = {});
+    void span(TraceEventKind kind, std::string_view name,
+              std::uint32_t pid, std::uint32_t tid, Tick start, Tick end,
+              std::initializer_list<TraceArg> args = {});
 
     // ---- domain helpers (one per taxonomy entry) ----------------
     void kernelDispatch(KernelId id, QueueId queue,
@@ -174,8 +250,9 @@ class TraceSink
     void kernelSpan(KernelId id, QueueId queue, const std::string &name,
                     std::uint64_t maskBits, unsigned cus, Tick dispatch,
                     Tick start, Tick end);
+    /** @p perSeWgs holds one workgroup count per shader engine. */
     void wgDispatch(KernelId id, QueueId queue, unsigned workgroups,
-                    const std::vector<unsigned> &perSeWgs);
+                    std::span<const unsigned> perSeWgs);
     void maskReconfig(QueueId queue, std::uint64_t maskBits,
                       unsigned cus);
     void barrierInject(QueueId queue, const char *which);
@@ -216,12 +293,21 @@ class TraceSink
      * values at simulated time @p ts. Not subject to request
      * sampling.
      */
-    void counter(const std::string &name, std::uint32_t pid, Tick ts,
-                 std::vector<TraceArg> values);
+    void counter(std::string_view name, std::uint32_t pid, Tick ts,
+                 std::initializer_list<TraceArg> values);
 
     // ---- inspection / export ------------------------------------
-    const std::vector<TraceRecord> &records() const { return records_; }
+    const std::deque<TraceRecord> &records() const { return records_; }
     std::size_t size() const { return records_.size(); }
+    /** A kept record's name, as exported. */
+    std::string_view name(const TraceRecord &rec) const
+    {
+        return str(rec.nameId);
+    }
+    /** A kept record's arguments as (key, JSON value) pairs. */
+    std::vector<std::pair<std::string, std::string>>
+    args(const TraceRecord &rec) const;
+    /** Drops every record and restarts seq; interned ids stay valid. */
     void clear();
 
     /**
@@ -235,9 +321,27 @@ class TraceSink
 
   private:
     Tick now() const { return clock_ != nullptr ? clock_->now() : 0; }
-    void push(TraceRecord rec);
-    void serializeRecord(std::ostream &os, const TraceRecord &rec) const;
-    void noteTrack(const TraceRecord &rec);
+    /** An instant named @p name at now(); record() fills the rest. */
+    TraceRecord instantAt(TraceEventKind kind, TraceStrId name,
+                          std::uint32_t pid, std::uint32_t tid) const;
+    TraceRecord spanOver(TraceEventKind kind, TraceStrId name,
+                         std::uint32_t pid, std::uint32_t tid, Tick start,
+                         Tick end) const;
+    TraceRecord flowAt(char phase, std::uint64_t request,
+                       std::uint32_t pid, std::uint32_t tid) const;
+    /**
+     * The one record path: drop @p rec (disabled, or at the limit),
+     * keep it with a copy of @p args, or serialise both to the open
+     * stream.
+     */
+    void record(TraceRecord rec, std::span<const TraceArg> args);
+    void
+    record(const TraceRecord &rec, std::initializer_list<TraceArg> args)
+    {
+        record(rec, std::span<const TraceArg>(args.begin(), args.size()));
+    }
+    /** Key "se<i>", interned on first use. */
+    TraceStrId seKey(std::size_t se);
 
     const EventQueue *clock_;
     bool enabled_ = true;
@@ -246,10 +350,21 @@ class TraceSink
     std::uint64_t dropped_ = 0;
     std::uint64_t sample_ = 0;
     std::uint64_t next_seq_ = 0;
-    std::vector<TraceRecord> records_;
+    std::deque<TraceRecord> records_;
+    /** Kept records' arguments, in record order. */
+    std::deque<TraceArg> args_;
+
+    /** Interned strings; a deque, so views into it stay valid. */
+    std::deque<std::string> strings_;
+    std::unordered_map<std::string_view, TraceStrId> ids_;
+    std::vector<TraceStrId> se_keys_;
+    /** A workgroup split's arguments, reused. */
+    std::vector<TraceArg> arg_buf_;
 
     std::unique_ptr<std::ofstream> stream_;
     bool stream_first_ = true;
+    /** One streamed event's JSON, reused. */
+    std::string stream_buf_;
     /** Tracks seen while streaming; metadata written at close. */
     std::set<std::pair<std::uint32_t, std::uint32_t>> stream_tracks_;
 };

@@ -398,6 +398,8 @@ InferenceServer::run()
         }
         obs->timeline.finish(st.eq.now());
         publishObsHealth(*obs);
+        // The sink outlives this run's queue: unbind its clock.
+        obs->trace.setClock(nullptr);
     }
     return result;
 }

@@ -702,6 +702,8 @@ LlmEngine::run()
         m.gauge("sim.timed_out").set(result.timedOut ? 1.0 : 0.0);
         st.obs->timeline.finish(st.eq.now());
         publishObsHealth(*st.obs);
+        // The sink outlives this run's queue: unbind its clock.
+        st.obs->trace.setClock(nullptr);
     }
     return result;
 }

@@ -354,6 +354,8 @@ OpenLoopServer::run()
         m.gauge("sim.timed_out").set(result.timedOut ? 1.0 : 0.0);
         obs->timeline.finish(st.eq.now());
         publishObsHealth(*obs);
+        // The sink outlives this run's queue: unbind its clock.
+        obs->trace.setClock(nullptr);
     }
     return result;
 }

@@ -384,7 +384,7 @@ TEST(ClusterServer, FailoverReroutesBacklog)
     bool saw_drain = false;
     for (const TraceRecord &rec : obs.trace.records())
         if (rec.kind == TraceEventKind::RecoveryAction &&
-            rec.name == "shard_drain")
+            obs.trace.name(rec) == "shard_drain")
             saw_drain = true;
     EXPECT_TRUE(saw_drain);
 }

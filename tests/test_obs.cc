@@ -9,13 +9,46 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
 #include "obs/obs.hh"
 #include "server/inference_server.hh"
+
+namespace
+{
+/** Every operator new in this test binary, for the heap-bound test. */
+std::atomic<std::uint64_t> heap_allocations{0};
+} // namespace
+
+// All out of line: inlined, they would show the compiler malloc()
+// and free() paired with operator delete and operator new, and trip
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void *
+operator new(std::size_t size)
+{
+    ++heap_allocations;
+    if (void *p = std::malloc(size != 0 ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace krisp
 {
@@ -325,6 +358,43 @@ TEST(TraceSink, RecordLimitStopsRecording)
     EXPECT_EQ(sink.size(), 2u);
 }
 
+/**
+ * The four records a traced kernel writes — dispatch, a 4-SE
+ * workgroup split, the right-size decision and the execution span —
+ * stay off the heap once the kernel names are interned: only the
+ * record and argument stores' chunks are allocated.
+ */
+TEST(TraceSink, KernelRecordsStayOffTheHeap)
+{
+    constexpr std::uint64_t kernels = 50'000;
+    const std::string names[] = {
+        "resnet152.layer3.conv2d_3x3_bn_relu_b32",
+        "resnet152.layer4.conv2d_1x1_bn_b32",
+        "resnet152.fc.gemm_2048x1000_b32"};
+    const std::vector<unsigned> per_se = {25, 25, 25, 24};
+    TraceSink sink;
+    const auto kernel = [&](std::uint64_t id) {
+        const std::string &name = names[id % 3];
+        const QueueId queue = static_cast<QueueId>(id % 4);
+        sink.kernelDispatch(id, queue, name, 15);
+        sink.wgDispatch(id, queue, 99, per_se);
+        sink.rightSize(name, 15, "native");
+        sink.kernelSpan(id, queue, name, 0x7fffull, 15, 10 * id,
+                        10 * id + 3, 10 * id + 9);
+    };
+    for (std::uint64_t id = 0; id < 16; ++id) // interns every name
+        kernel(id);
+
+    const std::uint64_t before = heap_allocations.load();
+    for (std::uint64_t id = 0; id < kernels; ++id)
+        kernel(id);
+    const std::uint64_t allocations = heap_allocations.load() - before;
+    EXPECT_EQ(sink.size(), 4 * (kernels + 16));
+    EXPECT_LE(allocations, 2 * kernels)
+        << double(allocations) / double(kernels)
+        << " heap allocations per kernel";
+}
+
 TEST(TraceSinkDeath, SpanEndBeforeStart)
 {
     TraceSink sink;
@@ -396,7 +466,7 @@ TEST(TraceSink, ChromeJsonParsesBackAndCarriesEvents)
     EXPECT_TRUE(saw_request_span);
 }
 
-TEST(TraceSink, ChromeJsonTimestampsAreNonDecreasingPerTrack)
+TEST(TraceSink, RecordsAreAppendedInSimulatedTimeOrder)
 {
     ObsContext obs;
     InferenceServer(tracedConfig(&obs)).run();
@@ -406,6 +476,17 @@ TEST(TraceSink, ChromeJsonTimestampsAreNonDecreasingPerTrack)
         EXPECT_GE(rec.recordedAt, last_recorded);
         last_recorded = rec.recordedAt;
     }
+}
+
+TEST(TraceSink, RunsUnbindTheirClock)
+{
+    ObsContext obs;
+    InferenceServer(tracedConfig(&obs)).run();
+    // The run's event queue is gone: a record made after it (the
+    // timeline's counter tracks, say) must not read its clock.
+    obs.trace.barrierProcess(0, 1);
+    EXPECT_EQ(obs.trace.records().back().ts, 0u);
+    EXPECT_EQ(obs.trace.records().back().recordedAt, 0u);
 }
 
 // ---- determinism and non-interference ---------------------------

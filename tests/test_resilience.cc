@@ -247,10 +247,10 @@ TEST(ClusterResilienceRun, ShardCrashesAndWarmRestarts)
     bool saw_crash = false, saw_restart = false;
     for (const TraceRecord &rec : obs.trace.records()) {
         if (rec.kind == TraceEventKind::FaultInject &&
-            rec.name == "shard_crash")
+            obs.trace.name(rec) == "shard_crash")
             saw_crash = true;
         if (rec.kind == TraceEventKind::RecoveryAction &&
-            rec.name == "shard_restart")
+            obs.trace.name(rec) == "shard_restart")
             saw_restart = true;
     }
     EXPECT_TRUE(saw_crash);
@@ -390,13 +390,15 @@ closestRedrainNs(const TraceSink &trace)
     std::map<std::string, Tick> last_readmit; // by target shard
     Tick closest = maxTick;
     for (const TraceRecord &rec : trace.records()) {
-        if (rec.kind != TraceEventKind::RecoveryAction ||
-            rec.args.empty() || rec.args[0].key != "target")
+        if (rec.kind != TraceEventKind::RecoveryAction)
             continue;
-        const std::string &shard = rec.args[0].json;
-        if (rec.name == "shard_readmit") {
+        const auto args = trace.args(rec);
+        if (args.empty() || args[0].first != "target")
+            continue;
+        const std::string &shard = args[0].second;
+        if (trace.name(rec) == "shard_readmit") {
             last_readmit[shard] = rec.ts;
-        } else if (rec.name == "shard_drain") {
+        } else if (trace.name(rec) == "shard_drain") {
             const auto it = last_readmit.find(shard);
             if (it != last_readmit.end())
                 closest = std::min(closest, rec.ts - it->second);
@@ -540,11 +542,11 @@ TEST(FaultPlanStreams, ShardZeroCrashScheduleSurvivesClusterGrowth)
         std::vector<Tick> times;
         for (const TraceRecord &rec : obs.trace.records()) {
             if (rec.kind != TraceEventKind::FaultInject ||
-                rec.name != "shard_crash")
+                obs.trace.name(rec) != "shard_crash")
                 continue;
-            for (const TraceArg &arg : rec.args)
-                if (arg.key == "target" &&
-                    arg.json.find("shard0") != std::string::npos)
+            for (const auto &[key, value] : obs.trace.args(rec))
+                if (key == "target" &&
+                    value.find("shard0") != std::string::npos)
                     times.push_back(rec.ts);
         }
         return times;

@@ -117,10 +117,9 @@ keptRequests(TraceSink &sink)
 {
     std::set<std::uint64_t> kept;
     for (const TraceRecord &rec : sink.records())
-        for (const TraceArg &arg : rec.args)
-            if (arg.key == "request")
-                kept.insert(
-                    std::strtoull(arg.json.c_str(), nullptr, 10));
+        for (const auto &[key, value] : sink.args(rec))
+            if (key == "request")
+                kept.insert(std::strtoull(value.c_str(), nullptr, 10));
     return kept;
 }
 
