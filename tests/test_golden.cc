@@ -18,6 +18,7 @@
  * rewrites the snapshot and passes) and commit the diff.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -366,19 +367,22 @@ randomKernel(Rng &rng, const ArchParams &arch)
 
 /**
  * One seeded closed-loop mix on a @p num_se x @p cus_per_se device:
- * 20 queues keep 24 kernels in flight, each completion launches
- * the next. Kernels take whole-device or random partial queue masks
- * (changed as the run goes) or Algorithm 1 masks; half of them reuse
- * a few shared descriptors so bandwidth demands tie; hung and slowed
+ * 20 queues keep @p in_flight kernels in flight, each completion
+ * launches the next. Kernels take whole-device or random partial
+ * queue masks (changed as the run goes) or Algorithm 1 masks; with
+ * @p whole_device_only every queue keeps the whole-device mask and no
+ * kernel requests a partition (the MPS regime, where every busy CU is
+ * covered by the same kernels). Half of the kernels reuse a few
+ * shared descriptors so bandwidth demands tie; hung and slowed
  * kernels are injected and the watchdog kills the hung ones. The
  * digest folds every retirement, the energy bits and the kernel
  * latency moments.
  */
 std::string
-runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
+runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed,
+             unsigned in_flight = 24, bool whole_device_only = false)
 {
     constexpr unsigned numQueues = 20;
-    constexpr unsigned inFlight = 24;
     constexpr unsigned totalKernels = 1500;
 
     EventQueue eq;
@@ -422,7 +426,7 @@ runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
     std::vector<HsaQueue *> queues;
     for (unsigned q = 0; q < numQueues; ++q) {
         queues.push_back(&device.createQueue());
-        if (rng.chance(0.5)) {
+        if (!whole_device_only && rng.chance(0.5)) {
             device.setQueueCuMask(queues.back()->id(),
                                   randomDeviceMask(rng, arch));
         }
@@ -434,7 +438,7 @@ runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
             return;
         ++launched;
         HsaQueue &q = *queues[rng.below(numQueues)];
-        if (rng.chance(0.1)) {
+        if (!whole_device_only && rng.chance(0.1)) {
             device.setQueueCuMask(q.id(),
                                   rng.chance(0.5)
                                       ? CuMask::full(arch)
@@ -444,7 +448,7 @@ runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
                               ? shared[rng.below(shared.size())]
                               : randomKernel(rng, arch);
         const unsigned requested =
-            rng.chance(0.3)
+            !whole_device_only && rng.chance(0.3)
                 ? static_cast<unsigned>(1 + rng.below(arch.totalCus()))
                 : 0;
         AqlPacket pkt = AqlPacket::dispatch(std::move(k), nullptr,
@@ -452,14 +456,16 @@ runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
         pkt.onComplete = [&] { launch(); };
         q.push(std::move(pkt));
     };
-    for (unsigned i = 0; i < inFlight; ++i)
+    for (unsigned i = 0; i < in_flight; ++i)
         launch();
     eq.run();
 
     const GpuDeviceStats &st = device.stats();
     EXPECT_EQ(st.kernelsCompleted, totalKernels);
-    EXPECT_GT(st.concurrencyAtDispatch.max(), 16.0)
-        << "the mix must run more than 16 kernels at once";
+    EXPECT_GE(st.concurrencyAtDispatch.max(),
+              std::min(17.0, in_flight - 1.0))
+        << "the mix must keep its kernels running at once (more than "
+           "16 of them when it can)";
     EXPECT_GT(st.watchdogKills, 0u);
     EXPECT_TRUE(device.idle());
 
@@ -470,6 +476,9 @@ runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
         .add(st.kernelLatencyNs.min())
         .add(st.kernelLatencyNs.max());
     return std::to_string(num_se) + "x" + std::to_string(cus_per_se) +
+           (whole_device_only
+                ? " whole-device in_flight=" + std::to_string(in_flight)
+                : "") +
            " seed=" + std::to_string(seed) +
            " kernels=" + std::to_string(st.kernelsCompleted) +
            " killed=" + std::to_string(st.watchdogKills) +
@@ -480,7 +489,8 @@ runDeviceMix(unsigned num_se, unsigned cus_per_se, std::uint64_t seed)
 }
 
 /** The device model's retirements, energy and latency stats over
- *  seeded random mixes on five device shapes. */
+ *  seeded random mixes on five device shapes, and over whole-device
+ *  (MPS) mixes with 2 and 24 kernels in flight on two of them. */
 TEST(Golden, DeviceFluidRandomMixes)
 {
     std::string digests;
@@ -489,6 +499,13 @@ TEST(Golden, DeviceFluidRandomMixes)
              {4, 15}, {8, 8}, {1, 64}, {64, 1}, {3, 5}}) {
         for (const std::uint64_t seed : {11u, 12u})
             digests += runDeviceMix(se, cus, seed);
+    }
+    for (const auto &[se, cus] :
+         std::vector<std::pair<unsigned, unsigned>>{{4, 15}, {1, 64}}) {
+        for (const unsigned in_flight : {2u, 24u}) {
+            for (const std::uint64_t seed : {11u, 12u})
+                digests += runDeviceMix(se, cus, seed, in_flight, true);
+        }
     }
     compareWithGolden("device_fluid_digests.txt", digests);
 }
