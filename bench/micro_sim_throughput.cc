@@ -6,8 +6,8 @@
  * kernel-shaped records (records/sec), and the end-to-end event rate
  * of a real server simulation. Tracks the hot-path work on EventQueue
  * (flat slots, lazy cancellation + compaction), on the device's fluid
- * rate recomputation (cached per-kernel constants, busy-CU-only
- * passes, one lookup per running kernel) and on TraceSink (compact
+ * rate recomputation (cached per-kernel constants, share factors per
+ * CU class, one lookup per running kernel) and on TraceSink (compact
  * typed records, per-sink interning, chunked storage) — diff
  * BENCH_micro_sim_throughput.json across revisions.
  *

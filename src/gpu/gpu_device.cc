@@ -14,6 +14,7 @@
 #include "common/logging.hh"
 #include "fault/fault_injector.hh"
 #include "gpu/bandwidth.hh"
+#include "gpu/cu_share.hh"
 
 namespace krisp
 {
@@ -70,6 +71,115 @@ maxMinFairShare(const std::vector<double> &demands, double capacity)
     return grants;
 }
 
+std::uint64_t
+cuShareSums(std::span<const CuLoad> loads,
+            std::span<const double> contention, std::span<double> sums)
+{
+    panic_if(sums.size() != loads.size() ||
+                 contention.size() < loads.size(),
+             "cuShareSums: ", loads.size(), " loads, ", sums.size(),
+             " sums, ", contention.size(), " contention entries");
+    std::uint64_t busy = 0;
+    for (const CuLoad &k : loads)
+        busy |= k.mask;
+    if (busy == 0)
+        return 0;
+
+    // Split the busy CUs into classes of identically covered CUs,
+    // refining by each kernel in job order: a class the kernel covers
+    // only in part splits, its outside part keeping the demand sum and
+    // residency so far, and every class inside the mask takes the
+    // kernel's demand. Classes are disjoint and non-empty, so at most
+    // one per CU. Neither array below is cleared: only classes[0, n)
+    // is read, and cu_factor only at busy CUs after it is filled.
+    // Clearing both costs about as much as a whole evaluation of one
+    // class.
+    struct CuClass
+    {
+        std::uint64_t cus;
+        double demand;
+        unsigned kernels;
+        double factor;
+    };
+    std::array<CuClass, 64> classes;
+    classes[0] = CuClass{busy, 0.0, 0, 0.0};
+    std::size_t n = 1;
+    for (const CuLoad &k : loads) {
+        std::uint64_t left = k.mask;
+        for (std::size_t c = 0, end = n; c < end && left != 0; ++c) {
+            CuClass &cls = classes[c];
+            const std::uint64_t in = cls.cus & k.mask;
+            if (in == 0)
+                continue;
+            if (in != cls.cus) {
+                classes[n++] = CuClass{cls.cus & ~k.mask, cls.demand,
+                                       cls.kernels, 0.0};
+                cls.cus = in;
+            }
+            cls.demand += k.demand;
+            ++cls.kernels;
+            left &= ~in;
+        }
+    }
+
+    // A class whose aggregate demand exceeds its capacity scales
+    // everyone proportionally; the interference penalty applies per
+    // co-resident kernel regardless. min(1, 1/d) is exactly 1 unless
+    // d > 1, so only those classes divide. `penalised` marks the CUs
+    // whose factor is not exactly 1.
+    std::uint64_t penalised = 0;
+    for (std::size_t c = 0; c < n; ++c) {
+        CuClass &cls = classes[c];
+        const double d = cls.demand;
+        cls.factor =
+            (d > 1.0 ? 1.0 / d : 1.0) * contention[cls.kernels - 1];
+        if (cls.factor != 1.0)
+            penalised |= cls.cus;
+    }
+
+    // Per-CU factors, filled (for every class) the first time a mask
+    // spanning several classes needs a sum in CU index order.
+    std::array<double, 64> cu_factor;
+    bool filled = false;
+    std::uint64_t prev_mask = 0;
+    double prev_sum = 0;
+    for (std::size_t i = 0; i < loads.size(); ++i) {
+        const std::uint64_t mask = loads[i].mask;
+        double sum = 0;
+        if (mask == prev_mask) {
+            sum = prev_sum;
+        } else if ((mask & penalised) == 0) {
+            // Adding ones in index order gives exactly the CU count.
+            sum = std::popcount(mask);
+        } else {
+            std::size_t c = 0;
+            while (c < n && classes[c].cus != mask)
+                ++c;
+            if (c < n) {
+                // One class: its factor added once per CU.
+                for (int cu = std::popcount(mask); cu > 0; --cu)
+                    sum += classes[c].factor;
+            } else {
+                if (!filled) {
+                    for (std::size_t f = 0; f < n; ++f) {
+                        for (std::uint64_t b = classes[f].cus; b != 0;
+                             b &= b - 1)
+                            cu_factor[std::countr_zero(b)] =
+                                classes[f].factor;
+                    }
+                    filled = true;
+                }
+                for (std::uint64_t b = mask; b != 0; b &= b - 1)
+                    sum += cu_factor[std::countr_zero(b)];
+            }
+        }
+        sums[i] = sum;
+        prev_mask = mask;
+        prev_sum = sum;
+    }
+    return busy;
+}
+
 namespace
 {
 
@@ -80,25 +190,23 @@ constexpr double minComputeNs = 1.0;
 
 GpuDevice::GpuDevice(EventQueue &eq, GpuConfig config)
     : eq_(eq), config_(config), monitor_(config.arch),
+      se0_cus_(CuMask::firstN(config.arch.cusPerSe).bits()),
       power_(eq, config.power),
       fluid_(
           eq, [this](FluidScheduler &fs) { recomputeRates(fs); },
-          [this](JobId job) { onKernelComplete(job); }),
-      started_(config_.arch),
-      scratch_cu_demand_(config_.arch.totalCus(), 0.0),
-      scratch_cu_share_(config_.arch.totalCus(), 0.0)
+          [this](JobId job) { onKernelComplete(job); })
 {
 }
 
-double
-GpuDevice::growContentionPow(unsigned k)
+std::span<const double>
+GpuDevice::contentionPows(std::size_t n)
 {
-    while (contention_pow_.size() <= k) {
+    while (contention_pow_.size() < n) {
         contention_pow_.push_back(std::pow(
             config_.contentionPenalty,
             static_cast<double>(contention_pow_.size())));
     }
-    return contention_pow_[k];
+    return contention_pow_;
 }
 
 GpuDevice::RunningKernel &
@@ -116,7 +224,8 @@ GpuDevice::adoptRunning(JobId job, RunningKernel rk)
     rk.tCompute = std::max(
         timing::computeTimeNs(*rk.desc, rk.mask, config_.arch),
         minComputeNs);
-    started_.addKernel(rk.mask);
+    rk.bytes = rk.desc->bytes;
+    rk.issueFactor = rk.desc->issueFactor;
     return running_.emplace(job, std::move(rk)).first->second;
 }
 
@@ -128,7 +237,6 @@ GpuDevice::removeRunning(JobId job)
              job);
     RunningKernel rk = std::move(it->second);
     running_.erase(it);
-    started_.removeKernel(rk.mask);
     return rk;
 }
 
@@ -354,6 +462,9 @@ GpuDevice::dispatchKernel(QueueCtx &ctx, const AqlPacket &pkt,
                           CuMask mask)
 {
     panic_if(mask.empty(), "dispatching kernel with empty CU mask");
+    panic_if((mask.bits() & ~CuMask::full(config_.arch).bits()) != 0,
+             "dispatching kernel on CUs beyond the device: mask ",
+             mask.bits());
     panic_if(!pkt.kernel, "dispatching packet without kernel");
 
     monitor_.addKernel(mask);
@@ -510,57 +621,33 @@ GpuDevice::recomputeRates(FluidScheduler &fs)
     fs.appendActiveJobs(scratch_jobs_);
     const std::vector<JobId> &jobs = scratch_jobs_;
     scratch_kernels_.clear();
+    scratch_loads_.clear();
     for (const JobId job : jobs) {
         auto it = running_.find(job);
+        RunningKernel *rk = nullptr;
         if (it != running_.end()) {
-            scratch_kernels_.push_back(&it->second);
-            continue;
+            rk = &it->second;
+        } else {
+            panic_if(!staging_.has_value(), "active job ", job,
+                     " has no running-kernel record");
+            rk = &adoptRunning(job, std::move(*staging_));
+            staging_.reset();
         }
-        panic_if(!staging_.has_value(), "active job ", job,
-                 " has no running-kernel record");
-        scratch_kernels_.push_back(
-            &adoptRunning(job, std::move(*staging_)));
-        staging_.reset();
+        scratch_kernels_.push_back(rk);
+        scratch_loads_.push_back(CuLoad{rk->mask.bits(), rk->demand});
     }
 
-    // Aggregate occupancy demand per busy CU from the running kernels'
-    // cached per-kernel demands, in job order.
-    const std::uint64_t busy = started_.busyCuMask().bits();
-    for (std::uint64_t b = busy; b != 0; b &= b - 1)
-        scratch_cu_demand_[static_cast<unsigned>(std::countr_zero(b))] =
-            0.0;
-    for (const RunningKernel *rk : scratch_kernels_) {
-        panic_if((rk->mask.bits() & ~busy) != 0,
-                 "running kernel on idle CU");
-        for (std::uint64_t b = rk->mask.bits(); b != 0; b &= b - 1) {
-            scratch_cu_demand_[static_cast<unsigned>(
-                std::countr_zero(b))] += rk->demand;
-        }
-    }
-
-    // Per-CU share factor: a CU whose aggregate occupancy demand
-    // exceeds its capacity scales everyone proportionally; a
-    // multiplicative interference penalty applies per co-resident
-    // kernel regardless. Both depend on the CU alone, so each busy
-    // CU's factor is computed once here rather than once per kernel.
-    // min(1, 1/d) is exactly 1 unless d > 1, so only those CUs
-    // divide. `penalised` marks the CUs whose factor is not exactly 1.
-    std::uint64_t penalised = 0;
-    for (std::uint64_t b = busy; b != 0; b &= b - 1) {
-        const auto cu = static_cast<unsigned>(std::countr_zero(b));
-        const double d = scratch_cu_demand_[cu];
-        const double share = (d > 1.0 ? 1.0 / d : 1.0) *
-                             contentionPow(started_.kernelsOnCu(cu) - 1);
-        scratch_cu_share_[cu] = share;
-        if (share != 1.0)
-            penalised |= b & -b;
-    }
+    // Every running kernel's CU share sum, from the per-class share
+    // factors of the CUs it covers: a CU whose aggregate occupancy
+    // demand exceeds its capacity scales everyone proportionally, and
+    // a multiplicative interference penalty applies per co-resident
+    // kernel regardless. Hung kernels count in both.
+    scratch_share_sums_.resize(jobs.size());
+    const std::uint64_t busy =
+        cuShareSums(scratch_loads_, contentionPows(jobs.size()),
+                    scratch_share_sums_);
 
     scratch_evals_.clear();
-    // The share sum depends on the mask alone: a kernel whose mask
-    // equals the previous kernel's (every MPS kernel) reuses its sum.
-    std::uint64_t prev_mask = 0;
-    double prev_sum = 0;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         RunningKernel &rk = *scratch_kernels_[i];
         if (rk.hung) {
@@ -571,34 +658,18 @@ GpuDevice::recomputeRates(FluidScheduler &fs)
             fs.setRate(jobs[i], 0.0);
             continue;
         }
-        const std::uint64_t mask = rk.mask.bits();
-        double share_sum = 0;
-        if (mask == prev_mask) {
-            share_sum = prev_sum;
-        } else if ((mask & penalised) == 0) {
-            // Every factor is exactly 1: adding cuCount ones in index
-            // order gives exactly cuCount.
-            share_sum = rk.cuCount;
-        } else {
-            for (std::uint64_t b = mask; b != 0; b &= b - 1) {
-                share_sum += scratch_cu_share_[static_cast<unsigned>(
-                    std::countr_zero(b))];
-            }
-        }
-        prev_mask = mask;
-        prev_sum = share_sum;
+        const double share_sum = scratch_share_sums_[i];
         const double avg_share = share_sum / rk.cuCount;
         const double compute_rate = avg_share / rk.tCompute;
 
         double demand = 0;
-        if (rk.desc->bytes > 0) {
+        if (rk.bytes > 0) {
             // Issue limit: each enabled CU contributes its share of
             // per-CU streaming bandwidth.
             const double issue_cap = std::min(
-                share_sum * arch.perCuIssueBytesPerNs *
-                    rk.desc->issueFactor,
+                share_sum * arch.perCuIssueBytesPerNs * rk.issueFactor,
                 arch.memBwBytesPerNs);
-            demand = std::min(compute_rate * rk.desc->bytes, issue_cap);
+            demand = std::min(compute_rate * rk.bytes, issue_cap);
         }
         scratch_evals_.push_back(RateEval{jobs[i], &rk, compute_rate,
                                           demand});
@@ -614,18 +685,21 @@ GpuDevice::recomputeRates(FluidScheduler &fs)
     for (std::size_t i = 0; i < scratch_evals_.size(); ++i) {
         const RateEval &e = scratch_evals_[i];
         double rate = e.computeRate;
-        if (e.rk->desc->bytes > 0)
-            rate = std::min(rate, scratch_grants_[i] / e.rk->desc->bytes);
+        if (e.rk->bytes > 0)
+            rate = std::min(rate, scratch_grants_[i] / e.rk->bytes);
         e.rk->bwAlloc = scratch_grants_[i];
         bw_used += scratch_grants_[i];
         fs.setRate(e.job, rate);
     }
 
-    // Power state follows the started kernels.
-    const unsigned busy_cus = started_.busyCus();
+    // Power state follows the started kernels: the busy CUs are the
+    // union of their masks, and an SE is active when it holds one.
+    // Not monitor_: Algorithm 1 counts a kernel from dispatch on, but
+    // the kernel occupies no CU during its launch overhead.
+    const auto busy_cus = static_cast<unsigned>(std::popcount(busy));
     unsigned active_ses = 0;
     for (unsigned se = 0; se < arch.numSe; ++se)
-        active_ses += started_.seKernelSum(se) > 0 ? 1 : 0;
+        active_ses += ((busy >> (se * arch.cusPerSe)) & se0_cus_) != 0;
     power_.update(busy_cus, active_ses,
                   bw_used / arch.memBwBytesPerNs);
     if (timeline_ != nullptr) {

@@ -25,12 +25,14 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "gpu/cu_share.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/mask_allocator_iface.hh"
 #include "gpu/power_model.hh"
@@ -200,6 +202,10 @@ class GpuDevice
         double tCompute = 0;
         /** CUs in the mask. */
         unsigned cuCount = 0;
+        /** The descriptor's DRAM bytes and issue factor, cached at
+         *  adoption so rate recomputation reads no descriptor. */
+        double bytes = 0;
+        double issueFactor = 1.0;
         /** Injected hang: the fluid job runs at rate 0 forever. */
         bool hung = false;
         /** Injected duration multiplier (1.0 = none). */
@@ -228,25 +234,22 @@ class GpuDevice
     void retireKernel(RunningKernel rk, bool killed);
     void recomputeRates(FluidScheduler &fs);
 
-    /** contentionPenalty^k, tabulated as residency counts appear. */
-    double
-    contentionPow(unsigned k)
-    {
-        return k < contention_pow_.size() ? contention_pow_[k]
-                                          : growContentionPow(k);
-    }
-    /** Extend the table through @p k and return its entry. */
-    double growContentionPow(unsigned k);
+    /** contentionPenalty^k for k = 0 .. n - 1 at least, tabulated as
+     *  residency counts appear. */
+    std::span<const double> contentionPows(std::size_t n);
 
-    /** Adopt @p rk as running job @p job (started_ updated). */
+    /** Adopt @p rk as running job @p job. */
     RunningKernel &adoptRunning(JobId job, RunningKernel rk);
-    /** Remove job @p job from the running set (started_ updated). */
+    /** Remove job @p job from the running set. */
     RunningKernel removeRunning(JobId job);
 
     EventQueue &eq_;
     GpuConfig config_;
     std::string name_ = "gpu";
     ResourceMonitor monitor_;
+    /** The CUs of shader engine 0; SE s is this shifted by
+     *  s * cusPerSe. */
+    std::uint64_t se0_cus_;
     PowerModel power_;
     FluidScheduler fluid_;
     MaskAllocatorIface *allocator_ = nullptr;
@@ -276,15 +279,6 @@ class GpuDevice
     KernelId next_kernel_id_ = 1;
     GpuDeviceStats stats_;
 
-    /**
-     * Per-CU counts of the *started* kernels (fluid jobs), updated as
-     * kernels join and leave the running set. Rate recomputation and
-     * the power model read residency, busy CUs and active SEs from
-     * it. It is not monitor_: Algorithm 1 sees a kernel from dispatch
-     * on, but the kernel occupies no CU during its launch overhead,
-     * so the two counts differ in that window.
-     */
-    ResourceMonitor started_;
     /** contention_pow_[k] = std::pow(contentionPenalty, k). */
     std::vector<double> contention_pow_;
 
@@ -293,10 +287,9 @@ class GpuDevice
     std::vector<JobId> scratch_jobs_;
     /** The running kernel of each job in scratch_jobs_. */
     std::vector<RunningKernel *> scratch_kernels_;
-    /** Per-CU occupancy demand, valid for busy CUs. */
-    std::vector<double> scratch_cu_demand_;
-    /** Per-CU share factor, valid for busy CUs. */
-    std::vector<double> scratch_cu_share_;
+    /** Each job's mask and demand, and its CU share sum. */
+    std::vector<CuLoad> scratch_loads_;
+    std::vector<double> scratch_share_sums_;
     std::vector<RateEval> scratch_evals_;
     std::vector<double> scratch_demands_;
     std::vector<double> scratch_grants_;

@@ -91,13 +91,6 @@ class ResourceMonitor
         return CuMask::ofBits(whole_ > 0 ? 0 : device_ & ~busy_);
     }
 
-    /** Mask of CUs with at least one assigned kernel. */
-    CuMask
-    busyCuMask() const
-    {
-        return CuMask::ofBits(whole_ > 0 ? device_ : busy_);
-    }
-
   private:
     /** Add (or with @p remove, subtract) the CUs of @p bits to the
      *  sums of the SEs they lie in. */

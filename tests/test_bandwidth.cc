@@ -1,17 +1,25 @@
 /**
  * @file
- * Property tests for max-min fair bandwidth allocation.
+ * Property tests for max-min fair bandwidth allocation, and reference
+ * tests for it and for the CU share sums of the device's rate
+ * evaluation.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/random.hh"
 #include "gpu/bandwidth.hh"
+#include "gpu/cu_share.hh"
+#include "kern/cu_mask.hh"
 
 namespace krisp
 {
@@ -181,6 +189,153 @@ TEST(MaxMinFair, MatchesStdSortReferenceBitForBit)
             ASSERT_EQ(std::bit_cast<std::uint64_t>(grants[i]),
                       std::bit_cast<std::uint64_t>(want[i]))
                 << "trial " << trial << ", demand " << i << " of " << n;
+        }
+    }
+}
+
+/**
+ * The CU share sums as first written, one CU at a time: the residency
+ * and the demand of every busy CU from the kernels in job order, one
+ * factor per busy CU, then each kernel's sum over its CUs in index
+ * order, taking the previous kernel's sum for an equal mask and the
+ * CU count when every factor on the mask is exactly 1.
+ */
+std::vector<double>
+referenceShareSums(const std::vector<CuLoad> &loads,
+                   const std::vector<double> &contention)
+{
+    std::array<unsigned, 64> resident{};
+    std::uint64_t busy = 0;
+    for (const CuLoad &k : loads) {
+        busy |= k.mask;
+        for (std::uint64_t b = k.mask; b != 0; b &= b - 1)
+            ++resident[std::countr_zero(b)];
+    }
+
+    std::array<double, 64> cu_demand{};
+    for (const CuLoad &k : loads) {
+        for (std::uint64_t b = k.mask; b != 0; b &= b - 1)
+            cu_demand[std::countr_zero(b)] += k.demand;
+    }
+
+    std::array<double, 64> cu_share{};
+    std::uint64_t penalised = 0;
+    for (std::uint64_t b = busy; b != 0; b &= b - 1) {
+        const int cu = std::countr_zero(b);
+        const double d = cu_demand[cu];
+        cu_share[cu] =
+            (d > 1.0 ? 1.0 / d : 1.0) * contention[resident[cu] - 1];
+        if (cu_share[cu] != 1.0)
+            penalised |= b & -b;
+    }
+
+    std::vector<double> sums;
+    std::uint64_t prev_mask = 0;
+    double prev_sum = 0;
+    for (const CuLoad &k : loads) {
+        double sum = 0;
+        if (k.mask == prev_mask) {
+            sum = prev_sum;
+        } else if ((k.mask & penalised) == 0) {
+            sum = std::popcount(k.mask);
+        } else {
+            for (std::uint64_t b = k.mask; b != 0; b &= b - 1)
+                sum += cu_share[std::countr_zero(b)];
+        }
+        sums.push_back(sum);
+        prev_mask = k.mask;
+        prev_sum = sum;
+    }
+    return sums;
+}
+
+/** One running kernel's mask on a @p num_se x @p cus_per_se device:
+ *  the whole device, random CUs, whole SEs, a subset of an earlier
+ *  kernel's mask or an earlier mask repeated. */
+std::uint64_t
+randomLoadMask(Rng &rng, unsigned num_se, unsigned cus_per_se,
+               const std::vector<CuLoad> &earlier)
+{
+    const std::uint64_t device =
+        CuMask::firstN(num_se * cus_per_se).bits();
+    const std::uint64_t se0 = CuMask::firstN(cus_per_se).bits();
+    switch (rng.below(5)) {
+    case 0:
+        return device;
+    case 1: {
+        std::uint64_t mask = 0;
+        while (mask == 0)
+            mask = (rng.chance(0.5) ? rng() & rng() : rng()) & device;
+        return mask;
+    }
+    case 2: {
+        std::uint64_t mask = 0;
+        while (mask == 0) {
+            for (unsigned se = 0; se < num_se; ++se) {
+                if (rng.chance(0.4))
+                    mask |= se0 << (se * cus_per_se);
+            }
+        }
+        return mask;
+    }
+    case 3: {
+        if (earlier.empty())
+            return device;
+        const std::uint64_t base = earlier[rng.below(earlier.size())].mask;
+        const std::uint64_t mask = base & rng();
+        return mask != 0 ? mask : base & -base;
+    }
+    default:
+        return earlier.empty() ? device
+                               : earlier[rng.below(earlier.size())].mask;
+    }
+}
+
+TEST(CuShareSums, MatchesPerCuReferenceBitForBit)
+{
+    // A small demand set makes class demand sums tie and exceed 1;
+    // a penalty of 1 leaves factors of exactly 1 where no CU is
+    // over-subscribed, so the CU-count shortcut is taken too.
+    const std::vector<std::pair<unsigned, unsigned>> shapes = {
+        {4, 15}, {8, 8}, {1, 64}, {64, 1}, {3, 5}};
+    const std::vector<double> demand_set = {1.0 / 16, 0.125, 0.25,
+                                            1.0 / 3,  0.5,   0.7,
+                                            1.0};
+    const std::vector<double> penalties = {0.93, 1.0, 0.5};
+    Rng rng(0xc1a55);
+    std::vector<double> sums;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const auto [num_se, cus_per_se] = shapes[trial % shapes.size()];
+        const std::size_t n = 1 + rng.below(40);
+        // A fifth of the states are the MPS regime: every kernel on
+        // the whole device, one class.
+        const bool whole_only = rng.chance(0.2);
+        std::vector<CuLoad> loads;
+        for (std::size_t k = 0; k < n; ++k) {
+            const std::uint64_t mask =
+                whole_only
+                    ? CuMask::firstN(num_se * cus_per_se).bits()
+                    : randomLoadMask(rng, num_se, cus_per_se, loads);
+            loads.push_back(
+                CuLoad{mask, demand_set[rng.below(demand_set.size())]});
+        }
+        const double penalty = penalties[rng.below(penalties.size())];
+        std::vector<double> contention(n);
+        for (std::size_t k = 0; k < n; ++k)
+            contention[k] = std::pow(penalty, static_cast<double>(k));
+
+        const auto want = referenceShareSums(loads, contention);
+        sums.assign(n, -1.0);
+        const std::uint64_t busy = cuShareSums(loads, contention, sums);
+        std::uint64_t want_busy = 0;
+        for (const CuLoad &k : loads)
+            want_busy |= k.mask;
+        ASSERT_EQ(busy, want_busy) << "trial " << trial;
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(sums[i]),
+                      std::bit_cast<std::uint64_t>(want[i]))
+                << "trial " << trial << ", kernel " << i << " of " << n
+                << ": " << sums[i] << " vs " << want[i];
         }
     }
 }

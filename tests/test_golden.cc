@@ -7,7 +7,7 @@
  * tests/golden/. Serving-loop traces and timelines are pinned as an
  * FNV-1a digest plus record count (serving_digests.txt); the device
  * fluid model's retirements, energy and latency stats over seeded
- * random kernel mixes as one digest per device shape and seed
+ * random kernel mixes as one digest per device shape, mix and seed
  * (device_fluid_digests.txt); one trace sink driven by hand through
  * every record kind, phase and argument type, retained and streamed
  * (trace_sink_digests.txt).
