@@ -43,7 +43,9 @@ struct CuLoad
  * masks are equal, and the CU count when every factor on the mask is
  * exactly 1, which is the same value.
  *
- * Costs O(kernels x classes) and allocates nothing.
+ * Costs O(kernels x classes), plus O(busy CUs + mask bits) when some
+ * mask spans several classes and holds a factor other than 1: that
+ * sum reads per-CU factors. Allocates nothing.
  *
  * @param contention penalty^k for k = 0 .. loads.size() - 1 at least.
  * @param sums one slot per load, written in order.

@@ -6,6 +6,7 @@
  */
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -477,6 +478,19 @@ TEST(GpuDeviceDeath, EmptyQueueMaskRejected)
     HsaQueue &q = fx.device.createQueue();
     EXPECT_EXIT(fx.device.setQueueCuMask(q.id(), CuMask()),
                 ::testing::ExitedWithCode(1), "empty");
+}
+
+TEST(GpuDeviceDeath, MaskBeyondDeviceRejectedAtDispatch)
+{
+    // setQueueCuMask takes any non-empty mask; a CU above the
+    // device's last one is caught when a kernel is dispatched on it.
+    Fixture fx;
+    ASSERT_EQ(fx.cfg.arch.totalCus(), 60u);
+    HsaQueue &q = fx.device.createQueue();
+    fx.device.setQueueCuMask(q.id(), CuMask::ofBits(std::uint64_t{1} << 60));
+    q.push(AqlPacket::dispatch(computeKernel(60, 100.0),
+                               HsaSignal::create(1)));
+    EXPECT_DEATH(fx.eq.run(), "beyond the device");
 }
 
 } // namespace
